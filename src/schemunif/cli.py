@@ -12,6 +12,8 @@ Schema-rule indices are written relative to the rule index i (``i``,
 ``i+2``) or as plain naturals; problem-side indices are plain naturals.
 Lowercase identifiers are function symbols, uppercase-initial identifiers
 are variable symbols, and function arities must be consistent file-wide.
+A term may be at most MAX_TERM_DEPTH deep (a variable or constant has depth
+1); deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from .solver import (
 )
 from .terms import App, Term, Var, var
 from .unify import Equation, sorted_eqs
+
+
+# Far deeper than any real problem, and shallow enough that the recursive
+# parser, printers and term walks stay well inside the interpreter's stack.
+MAX_TERM_DEPTH = 1000
 
 
 class ParseError(Exception):
@@ -77,12 +84,21 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
     pos = 0
+    nesting = 0  # open argument lists; a term is one deeper than its nesting
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if chunk == "(":
+            nesting += 1
+            if nesting >= MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH}", line, col
+                )
+        elif chunk == ")":
+            nesting -= 1
         if kind != "ws":
             tokens.append(_Token(kind, chunk, line, col))
         newlines = chunk.count("\n")

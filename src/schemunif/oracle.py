@@ -1,8 +1,11 @@
 """Bounded brute-force check of schematic unifiability.
 
 Instantiates the problem directly for i = 0..N and runs plain unification on
-each instance.  Slow and only a prefix check, but entirely independent of the
-schema-aware engine, which makes it a useful differential oracle.
+each instance.  Only a prefix check, but entirely independent of the
+schema-aware engine, which makes it a useful differential oracle.  Instances
+are built as shared term DAGs and unified in triangular form, so the cost
+follows the distinct subterms of an instance; the node cap and the reported
+sizes count tree nodes, as if every shared subterm were written out.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .solver import SchematicProblem
-from .terms import Term, Var, depth
-from .unify import Equation, UnifyFailure, eq_vars, unify
+from .unify import Substitution, UnifyFailure, eq_vars, unify
 
 DEFAULT_N = 25
 DEFAULT_NODE_CAP = 200_000
@@ -37,39 +39,29 @@ class OracleReport:
         return self.first_failure is None
 
 
-def _node_count(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(_node_count(a) for a in t.args)
-
-
 def bounded_check(
     problem: SchematicProblem,
     n: int = DEFAULT_N,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> OracleReport:
     report = OracleReport(checked_up_to=-1, first_failure=None)
+    schema = problem.schema
     eqs = problem.equations
     for i in range(n + 1):
         if i > 0:
             # One more unfolding round on top of the previous instance.
-            eqs = frozenset(
-                Equation(
-                    problem.schema.t_substitution(e.lhs).apply(e.lhs),
-                    problem.schema.t_substitution(e.rhs).apply(e.rhs),
-                )
-                for e in eqs
-            )
-        nodes = sum(_node_count(e.lhs) + _node_count(e.rhs) for e in eqs)
+            eqs = Substitution(
+                {v: schema.binding(v) for v in eq_vars(eqs) if schema.contains(v)}
+            ).apply_eqs(eqs)
+        # Tree sizes, although the instance is built as a DAG.
+        nodes = sum(e.lhs.size + e.rhs.size for e in eqs)
         if nodes > node_cap:
             report.size_capped_at = i
             break
         report.per_instance_sizes.append(
             InstanceSize(
                 nodes=nodes,
-                max_depth=max(
-                    max(depth(e.lhs), depth(e.rhs)) for e in eqs
-                ),
+                max_depth=max(max(e.lhs.depth, e.rhs.depth) for e in eqs),
                 var_count=len(eq_vars(eqs)),
             )
         )

@@ -5,7 +5,8 @@ A schema finitely presents the infinite binding family
 symbol at shift 0.  This module covers classification (not-simple / simple /
 uniform / primitive), restriction to a term (t-substitution), iterated
 instantiation, folding of unfoldings back to schema variables
-(normalization), and the uniform-to-primitive rewrite.
+(normalization), and a uniform-to-primitive rewrite of the schema alone,
+which the solver does not use.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class _FreshNames:
 def make_primitive(
     eqs: frozenset[Equation], schema: Schema
 ) -> tuple[frozenset[Equation], Schema, Substitution]:
-    """Rewrite a uniform schema into an equivalent primitive one.
+    """Rewrite a uniform schema into a primitive one (schema-only).
 
     Each rule whose self-recursion offset m exceeds 1 is flattened: the
     recursion offset drops to 1 and every parameter variable Y at offset
@@ -174,6 +175,13 @@ def make_primitive(
     l.  The same renaming is applied across all bases and to the problem
     equations.  Returns (rewritten equations, primitive schema, composed
     renaming restricted to non-domain variables).
+
+    Only the variables that occur in schema bases are renamed, and domain
+    variables keep their indices, so a problem that mentions a parameter or
+    a domain variable at another index loses its link to the rewritten
+    schema: the rewritten problem is not equivalent to the original in
+    general.  The solver does not use this rewrite; it handles any recursion
+    offset directly.
     """
     cls = schema.classify()
     if cls not in (SchemaClass.UNIFORM, SchemaClass.PRIMITIVE):

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .engine import FinalConfiguration, th_unif
-from .schema import Schema, SchemaClass, make_primitive
+# Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
+from .schema import Schema, SchemaClass, make_primitive  # noqa: F401
 from .terms import Term, Var, Variable, depth, variables
 from .unify import (
     Equation,
@@ -342,8 +343,7 @@ def u_sch_unif(
         raise ValueError(
             f"schema must be uniform; classification is {cls.value}"
         )
-    eqs, schema, _renaming = make_primitive(problem.equations, problem.schema)
-    problem = SchematicProblem(eqs, schema)
+    schema = problem.schema
 
     records: list[InstanceRecord] = []
     # Variable set of the directly instantiated problem, maintained

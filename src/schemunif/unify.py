@@ -1,17 +1,22 @@
 """Classical substitutions and a most-general-unifier engine.
 
-A Martelli-Montanari style rule loop (delete / decompose / orient /
-eliminate) over an equation set, with a mandatory occurs check.  Failure is
-reported as a verdict (Clash or Cycle) carrying the offending equation, not
-as an exception.
+``unify`` is a Martelli-Montanari rule loop (delete / decompose / orient /
+eliminate) over an equation set, with a mandatory occurs check, kept in
+triangular form: a variable is bound to a term as it stands, and bindings
+are followed ("walked") when a variable is looked at, never applied to one
+another.  Over interned terms this keeps the work proportional to the
+distinct subterms of the input, where a fully applied solved form can be
+exponentially larger than it.  The mgu is resolved once, at the end, with
+one memo shared by all bindings.  Failure is reported as a verdict (Clash
+or Cycle) carrying the offending equation, not as an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .terms import App, Term, Var, Variable, term_key, variables
+from .terms import App, Term, Var, Variable
 
 
 @dataclass(frozen=True)
@@ -23,7 +28,7 @@ class Equation:
         return f"{self.lhs} = {self.rhs}"
 
     def key(self) -> tuple:
-        return (term_key(self.lhs), term_key(self.rhs))
+        return (self.lhs.key, self.rhs.key)
 
     def flip(self) -> "Equation":
         return Equation(self.rhs, self.lhs)
@@ -32,7 +37,8 @@ class Equation:
 def eq_vars(eqs: Iterable[Equation]) -> frozenset[Variable]:
     out: set[Variable] = set()
     for e in eqs:
-        out |= variables(e.lhs) | variables(e.rhs)
+        out |= e.lhs.vars
+        out |= e.rhs.vars
     return frozenset(out)
 
 
@@ -77,19 +83,40 @@ class Substitution:
         return self.apply(t)
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return self._map.get(t.var, t)
-        return App(t.head, tuple(self.apply(a) for a in t.args))
+        return self._applier()(t)
 
     def apply_eq(self, e: Equation) -> Equation:
-        return Equation(self.apply(e.lhs), self.apply(e.rhs))
+        go = self._applier()
+        return Equation(go(e.lhs), go(e.rhs))
 
     def apply_eqs(self, eqs: Iterable[Equation]) -> frozenset[Equation]:
-        return frozenset(self.apply_eq(e) for e in eqs)
+        go = self._applier()
+        return frozenset(Equation(go(e.lhs), go(e.rhs)) for e in eqs)
+
+    def _applier(self) -> Callable[[Term], Term]:
+        """The substitution as a function with a memo for one call: each
+        distinct node is rebuilt at most once, and a subterm with no bound
+        variable is returned as it is."""
+        m = self._map
+        domain = m.keys()
+        memo: dict[int, Term] = {}
+
+        def go(t: Term) -> Term:
+            if domain.isdisjoint(t.vars):
+                return t
+            if isinstance(t, Var):
+                return m[t.var]
+            out = memo.get(id(t))
+            if out is None:
+                out = memo[id(t)] = App(t.head, tuple([go(a) for a in t.args]))
+            return out
+
+        return go
 
     def compose(self, other: "Substitution") -> "Substitution":
         """(self then other): x(self;other) = other(self(x))."""
-        m = {v: other.apply(t) for v, t in self._map.items()}
+        go = other._applier()
+        m = {v: go(t) for v, t in self._map.items()}
         for v, t in other._map.items():
             m.setdefault(v, t)
         return Substitution(m)
@@ -104,55 +131,80 @@ class UnifyFailure:
     equation: Equation
 
 
-UnifyResult = Substitution | UnifyFailure
-
-
-def occurs(v: Variable, t: Term) -> bool:
-    return v in variables(t)
-
-
 def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
-    """Most general unifier of an equation set, or a Clash/Cycle verdict."""
-    work = sorted_eqs(eqs)
-    sub: dict[Variable, Term] = {}
+    """Most general unifier of an equation set, or a Clash/Cycle verdict.
 
-    def resolve(t: Term) -> Term:
-        # Walk variable chains so bindings stay fully applied (keeps the
-        # result idempotent without a second pass).
-        while isinstance(t, Var) and t.var in sub:
-            t = sub[t.var]
+    Equations are taken in ``Equation.key`` order, and the argument pairs of
+    a decomposed equation before the rest, so the first failure met, and
+    its kind, are those of the same loop over a fully applied solved form.
+    """
+    bound: dict[Variable, Term] = {}
+    decomposed: set[tuple[int, int]] = set()
+
+    def walk(t: Term) -> Term:
+        while isinstance(t, Var):
+            b = bound.get(t.var)
+            if b is None:
+                break
+            t = b
         return t
 
-    def deep_apply(t: Term) -> Term:
-        t = resolve(t)
-        if isinstance(t, Var):
-            return t
-        return App(t.head, tuple(deep_apply(a) for a in t.args))
+    def occurs(x: Variable, t: Term) -> bool:
+        """Does x occur in t once the bindings are applied?"""
+        seen: set[Variable] = set()
+        todo = [t.vars]
+        while todo:
+            vs = todo.pop()
+            if x in vs:
+                return True
+            for v in vs:
+                b = bound.get(v)
+                if b is not None and v not in seen:
+                    seen.add(v)
+                    todo.append(b.vars)
+        return False
 
+    memo: dict[int, Term] = {}
+
+    def resolve(t: Term) -> Term:
+        """t with the bindings applied, memoized over nodes; only valid
+        while no binding is added."""
+        if bound.keys().isdisjoint(t.vars):
+            return t
+        out = memo.get(id(t))
+        if out is None:
+            if isinstance(t, Var):
+                out = resolve(bound[t.var])
+            else:
+                out = App(t.head, tuple([resolve(a) for a in t.args]))
+            memo[id(t)] = out
+        return out
+
+    work = [(e.lhs, e.rhs) for e in sorted_eqs(eqs)]
+    work.reverse()
     while work:
-        e = work.pop(0)
-        s, t = resolve(e.lhs), resolve(e.rhs)
-        if s == t:
+        s, t = work.pop()
+        s, t = walk(s), walk(t)
+        if s is t:
             continue
         if isinstance(s, App) and isinstance(t, App):
             if s.head != t.head or len(s.args) != len(t.args):
                 return UnifyFailure("clash", Equation(s, t))
-            work = [Equation(a, b) for a, b in zip(s.args, t.args)] + work
+            # A pair met again was solved in full the first time: bindings
+            # are acyclic, so none of its argument pairs can lead back to it.
+            pair = (id(s), id(t))
+            if pair not in decomposed:
+                decomposed.add(pair)
+                work.extend(reversed(tuple(zip(s.args, t.args))))
             continue
         if isinstance(t, Var) and not isinstance(s, Var):
             s, t = t, s
         assert isinstance(s, Var)
-        t = deep_apply(t)
-        if occurs(s.var, t):
-            return UnifyFailure("cycle", Equation(s, t))
-        sub[s.var] = t
-        # Keep existing bindings fully applied under the new one.
-        one = Substitution({s.var: t})
-        for v in list(sub):
-            if v != s.var:
-                sub[v] = one.apply(sub[v])
+        if isinstance(t, App) and occurs(s.var, t):
+            return UnifyFailure("cycle", Equation(s, resolve(t)))
+        bound[s.var] = t
 
-    return Substitution(sub)
+    return Substitution({v: resolve(t) for v, t in bound.items()})
 
 
 def unifiable(eqs: Iterable[Equation]) -> bool:

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from schemunif.cli import parse_problem
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem
-from schemunif.terms import app, var
-from schemunif.unify import Equation
+from schemunif.terms import App, Var, app, var, variables
+from schemunif.unify import Equation, Substitution, UnifyFailure, sorted_eqs
 
 sys.setrecursionlimit(100_000)
 
 HERE = os.path.dirname(__file__)
 PROBLEM_DIR = os.path.join(HERE, "..", "problems")
+# For subprocesses: the checkout's sources ahead of anything inherited.
+SRC_PATH = os.pathsep.join(
+    [os.path.join(HERE, "..", "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 def f(*args):
@@ -148,3 +153,93 @@ def primitive_schemas():
         st.integers(min_value=0, max_value=1),
         st.integers(min_value=0, max_value=2),
     )
+
+
+def uniform_problems(max_offset=3):
+    """Single-rule uniform problems: L[i] recurses at offset 0..max_offset
+    around parameters X[i+k]; one equation binds some L[k], and an optional
+    second one relates two terms over L, X and Y."""
+    fx = st.sampled_from([("f", 2), ("g", 1)])
+
+    def base_of(shape, k1, k2, offset):
+        rec, p1, p2 = var("L", offset), var("X", k1), var("X", k2)
+        return [
+            f(p1, rec),
+            f(f(p1, p2), rec),
+            f(p1, f(p2, rec)),
+            f(f(p1, app("g", p2)), rec),
+            f(rec, app("g", p1)),
+        ][shape]
+
+    leaves = st.builds(
+        var, st.sampled_from(["L", "X", "Y"]), st.integers(0, 3)
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(f, children, children),
+            st.builds(lambda t: app("g", t), children),
+        )
+
+    side = st.recursive(leaves | st.just(app("a")), extend, max_leaves=4)
+    schema = st.builds(
+        base_of,
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, max_offset),
+    ).map(lambda base: Schema.of({"L": base}))
+    tie = st.builds(
+        Equation, st.builds(var, st.just("L"), st.integers(0, 3)), side
+    )
+    eqs = st.builds(
+        lambda first, rest: frozenset([first, *rest]),
+        tie,
+        st.lists(st.builds(Equation, side, side), max_size=1),
+    )
+    return st.builds(SchematicProblem, eqs, schema)
+
+
+# -- reference unifier -------------------------------------------------------
+
+
+def reference_unify(eqs):
+    """The library's earlier unifier, kept as the reference: the same rule
+    loop as schemunif.unify.unify over a fully applied, idempotent solved
+    form (every binding is rewritten on each elimination), which can grow
+    exponentially on chain-shaped input."""
+    work = sorted_eqs(eqs)
+    sub = {}
+
+    def resolve(t):
+        while isinstance(t, Var) and t.var in sub:
+            t = sub[t.var]
+        return t
+
+    def deep_apply(t):
+        t = resolve(t)
+        if isinstance(t, Var):
+            return t
+        return App(t.head, tuple(deep_apply(a) for a in t.args))
+
+    while work:
+        e = work.pop(0)
+        s, t = resolve(e.lhs), resolve(e.rhs)
+        if s == t:
+            continue
+        if isinstance(s, App) and isinstance(t, App):
+            if s.head != t.head or len(s.args) != len(t.args):
+                return UnifyFailure("clash", Equation(s, t))
+            work = [Equation(a, b) for a, b in zip(s.args, t.args)] + work
+            continue
+        if isinstance(t, Var) and not isinstance(s, Var):
+            s, t = t, s
+        t = deep_apply(t)
+        if s.var in variables(t):
+            return UnifyFailure("cycle", Equation(s, t))
+        sub[s.var] = t
+        one = Substitution({s.var: t})
+        for v in list(sub):
+            if v != s.var:
+                sub[v] = one.apply(sub[v])
+    return Substitution(sub)

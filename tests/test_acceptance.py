@@ -28,7 +28,7 @@ from schemunif.solver import (
 from schemunif.terms import Var, depth, shift, var
 from schemunif.unify import Substitution, unifiable, unify
 
-from .conftest import EX_BASE, PROBLEM_DIR, L, X, Y, Z, eq, f, h
+from .conftest import EX_BASE, PROBLEM_DIR, SRC_PATH, L, X, Y, Z, eq, f, h
 from .test_engine import random_term
 from .test_solver import _shift_of_subterm
 
@@ -232,14 +232,12 @@ def test_corpus_solver_oracle_agreement():
         expected = parsed.directives.get("expect")
         if isinstance(run.outcome, CycleFound):
             assert expected == "cycle", path
-            n = min(25, run.outcome.i + 2 * (run.outcome.i - run.outcome.j))
+            n = run.outcome.i + 2 * (run.outcome.i - run.outcome.j)
             report = bounded_check(parsed.problem, n=n)
             assert report.first_failure is None, path
         elif isinstance(run.outcome, NotUnifiable):
             assert expected == "not-unifiable", path
-            report = bounded_check(
-                parsed.problem, n=min(25, run.outcome.instance + 5)
-            )
+            report = bounded_check(parsed.problem, n=run.outcome.instance + 5)
             assert report.first_failure is not None, path
         else:
             raise AssertionError(f"{path}: unexpected outcome {run.outcome}")
@@ -348,7 +346,7 @@ def test_outputs_stable_across_processes():
         path = os.path.join(PROBLEM_DIR, name)
         outputs = []
         for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_PATH)
             proc = subprocess.run(
                 [sys.executable, "-m", "schemunif.cli", path, "--trace"],
                 capture_output=True,

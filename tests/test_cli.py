@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from schemunif.cli import (
+    MAX_TERM_DEPTH,
     ParseError,
     emit_trace,
     exit_code,
@@ -20,7 +23,7 @@ from schemunif.solver import (
     StabilityViolation,
     u_sch_unif,
 )
-from .conftest import PROBLEM_DIR, L, X, Y, eq, h
+from .conftest import PROBLEM_DIR, SRC_PATH, L, X, Y, eq, h
 
 EX7_TEXT = (
     "schema: L[i] -> h(h(X[i], h(X[i+1], X[i])), L[i+1]);"
@@ -217,3 +220,35 @@ def test_main_warns_on_expect_mismatch(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "expected verdict 'cycle'" in captured.err
+
+
+def _nested(depth):
+    """g(g(...g(X[0])...)) with the given term depth."""
+    return "g(" * (depth - 1) + "X[0]" + ")" * (depth - 1)
+
+
+def test_depth_limit_is_inclusive():
+    text = "schema: L[i] -> f(X[i], L[i+1]); problem: L[0] = {};"
+    parsed = parse_problem(text.format(_nested(MAX_TERM_DEPTH)))
+    (e,) = parsed.problem.equations
+    assert e.rhs.depth == MAX_TERM_DEPTH
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_problem(text.format(_nested(MAX_TERM_DEPTH + 1)))
+
+
+def test_deeply_nested_input_is_an_input_error(tmp_path):
+    # 30 000 levels used to overflow the interpreter's stack (exit 139).
+    path = tmp_path / "deep.prob"
+    path.write_text(
+        "schema:\n  L[i] -> f(X[i], L[i+1]);\nproblem:\n"
+        f"  L[0] = {_nested(30_000)};\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "schemunif.cli", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"nested deeper than {MAX_TERM_DEPTH}" in proc.stderr

@@ -79,7 +79,7 @@ def test_defaults_are_sane():
 
 def test_oracle_matches_solver_on_golden(golden_problem, golden_run):
     out = golden_run.outcome
-    n = min(25, out.i + 2 * (out.i - out.j))
+    n = out.i + 2 * (out.i - out.j)
     report = bounded_check(golden_problem, n=n)
     assert report.ok
     assert report.checked_up_to == n

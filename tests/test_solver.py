@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from schemunif.cli import parse_problem
+from schemunif.oracle import bounded_check
 from schemunif.schema import Schema, make_primitive
 from schemunif.solver import (
     CycleFound,
@@ -24,7 +27,7 @@ from schemunif.solver import (
 from schemunif.terms import Var, depth, shift, subterms, var
 from schemunif.unify import Substitution, eq_vars
 
-from .conftest import EX_BASE, L, X, Y, Z, eq, f, h
+from .conftest import EX_BASE, L, X, Y, Z, eq, f, h, uniform_problems
 
 
 def ex_schema():
@@ -400,3 +403,72 @@ def test_store_lhs_variables_across_corpus(corpus):
         for rec in run.records:
             for e in rec.store:
                 assert isinstance(e.lhs, Var), (path, rec.i, str(e))
+
+
+# -- recursion offsets above 1 -----------------------------------------------
+
+# Instance 1 binds X[3] to f(f(X[2], g(X[3])), L[3]): an occurs cycle.
+OFFSET2_OCCURS = """
+schema:
+  L[i] -> f(f(X[i+1], g(X[i+2])), L[i+2]);
+problem:
+  X[3] = L[1];
+  g(L[2]) = g(Y[1]);
+"""
+
+# Unfolding L[3] reaches only odd-indexed X and unfolding L[0] only
+# even-indexed X, so the two never meet and every instance unifies.
+OFFSET2_PARITY = """
+schema:
+  L[i] -> f(X[i], L[i+2]);
+problem:
+  L[3] = f(L[0], Y[1]);
+"""
+
+
+def test_offset2_occurs_cycle_is_not_unifiable():
+    problem = parse_problem(OFFSET2_OCCURS).problem
+    out = u_sch_unif(problem).outcome
+    assert isinstance(out, NotUnifiable)
+    assert (out.instance, out.cause) == (1, "irr-cycle")
+    assert bounded_check(problem, n=1).first_failure == (1, "cycle")
+
+
+def test_offset2_parity_is_unifiable():
+    problem = parse_problem(OFFSET2_PARITY).problem
+    out = u_sch_unif(problem).outcome
+    assert isinstance(out, CycleFound)
+    n = out.i + 2 * (out.i - out.j)
+    report = bounded_check(problem, n=n)
+    assert report.ok and report.checked_up_to == n
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(uniform_problems(max_offset=3))
+def test_solver_agrees_with_oracle_on_uniform_problems(problem):
+    """A cycle survives the oracle to i + 2(i - j); a clash or occurs cycle
+    at instance i is the oracle's first failure, although not always of the
+    same kind (saturation can meet a clash before plain unification meets
+    a cycle, and the other way round).  The irrelevant-set check
+    unfolds ahead of the instance, so an irr-cycle at i may show in the
+    oracle a few instances later; it must show at i or later, and by
+    i + 5."""
+    out = u_sch_unif(problem, cap=30).outcome
+    if isinstance(out, CycleFound):
+        report = bounded_check(problem, n=out.i + 2 * (out.i - out.j))
+        assert report.first_failure is None
+    elif isinstance(out, NotUnifiable):
+        if out.cause == "irr-cycle":
+            report = bounded_check(problem, n=out.instance + 5)
+            assert report.first_failure is not None
+            assert report.first_failure[0] >= out.instance
+        else:
+            report = bounded_check(problem, n=out.instance)
+            assert report.first_failure is not None
+            assert report.first_failure[0] == out.instance

@@ -1,4 +1,5 @@
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemunif.terms import app, const, var
 from schemunif.unify import (
@@ -12,7 +13,7 @@ from schemunif.unify import (
     unify,
 )
 
-from .conftest import X, Y, Z, eq, equations, f, terms
+from .conftest import X, Y, Z, eq, equations, f, reference_unify, terms
 
 
 def test_substitution_drops_self_bindings():
@@ -125,3 +126,41 @@ def test_equation_str_and_flip():
     e = eq(X(0), f(Y(0), Y(1)))
     assert str(e) == "X[0] = f(Y[0], Y[1])"
     assert e.flip().flip() == e
+
+
+# -- the triangular unifier against the fully applied reference -------------
+
+# Few symbols and indices, so variables are shared and cycles are common.
+_SHARED = equations(max_eqs=6, max_index=1, symbols=["X", "Y"])
+
+
+@settings(max_examples=200)
+@given(st.one_of(equations(), _SHARED))
+def test_unify_matches_reference_unifier(eqs):
+    got, want = unify(eqs), reference_unify(eqs)
+    assert type(got) is type(want)
+    if isinstance(want, UnifyFailure):
+        assert got.kind == want.kind
+        if want.kind == "cycle":
+            # Both report the variable against its fully applied binding.
+            assert got.equation == want.equation
+        return
+    assert got == want
+    for e in eqs:
+        assert got.apply(e.lhs) == got.apply(e.rhs)
+    for t in got.mapping.values():
+        assert got.apply(t) == t
+
+
+def _chain(n):
+    """X[k] = f(X[k+1], X[k+1]) for k < n: the applied solved form of X[0]
+    is a tree of 2^(n+1) - 1 nodes over n + 1 distinct ones."""
+    return [eq(X(k), f(X(k + 1), X(k + 1))) for k in range(n)]
+
+
+def test_unify_chain_stays_shared():
+    r = unify(_chain(60) + [eq(X(60), app("a"))])
+    assert isinstance(r, Substitution)
+    assert r.apply(X(0)).size == 2 ** 61 - 1
+    closing = unify(_chain(60) + [eq(X(60), f(X(0), X(0)))])
+    assert isinstance(closing, UnifyFailure) and closing.kind == "cycle"
