@@ -6,16 +6,23 @@ then repeatedly moves eligible bindings into a store, and finally runs plain
 unification over everything as the clash/cycle gate.  The store it builds is
 the part of the solved form that stays relevant when the schema is unfolded
 one more step.
+
+Bindings move in rounds: each round judges every active equation against
+the store as it stood at the start of the round, then moves the whole
+eligible batch.  A ``StoreIndex`` of that store (its bound variables, its
+right-side variables and its schema variables) is built once per round, so
+judging one candidate takes set lookups and the schema's memoized
+reachability, not a pass over the store.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .schema import Schema
-from .terms import App, Term, Var, Variable, variables
+from .terms import App, Term, Var, Variable
 from .unify import Equation, UnifyFailure, sorted_eqs, unify
 
 
@@ -35,55 +42,30 @@ def _is_var(t: Term) -> bool:
     return isinstance(t, Var)
 
 
-def _semigroup_reachable(delta: int, generators: Iterable[int]) -> bool:
-    """Is delta a sum (with repetition) of the given positive generators?"""
-    gens = sorted({g for g in generators if g > 0})
-    if delta == 0:
-        return True
-    if not gens:
-        return False
-    can = [True] + [False] * delta
-    for n in range(1, delta + 1):
-        can[n] = any(g <= n and can[n - g] for g in gens)
-    return can[delta]
+class StoreIndex(NamedTuple):
+    """What store eligibility reads of a store."""
+
+    lhs_vars: frozenset[Variable]  # the variables the store binds
+    rhs_vars: frozenset[Variable]  # the variables of its right sides
+    schema_vars: tuple[Variable, ...]  # its schema variables, sorted
+
+    @staticmethod
+    def of(store: Iterable[Equation], schema: Schema) -> "StoreIndex":
+        lhs: set[Variable] = set()
+        rhs: set[Variable] = set()
+        for e in store:
+            assert isinstance(e.lhs, Var)
+            lhs.add(e.lhs.var)
+            rhs |= e.rhs.vars
+        return StoreIndex(
+            frozenset(lhs),
+            frozenset(rhs),
+            tuple(sorted(v for v in lhs | rhs if schema.contains(v))),
+        )
 
 
-def reachable_by_unfolding(y: Variable, z: Variable, schema: Schema) -> bool:
-    """Does y occur in some k-fold unfolding of the schema variable z?
-
-    Walks the schema variables reachable from z (indices only grow, and only
-    indices <= idx(y) can still contribute an occurrence of y), checking at
-    each of them whether one more unfolding emits y directly.
-    """
-    seen: set[Variable] = set()
-    frontier = deque([z])
-    while frontier:
-        w = frontier.popleft()
-        if w in seen or not schema.contains(w):
-            continue
-        seen.add(w)
-        base = schema.base(w.symbol)
-        own = schema.recursion_offsets(w.symbol)
-        for v in variables(base):
-            if v.symbol == y.symbol:
-                # Parameter occurrence at offset v.index, re-emitted after
-                # every self-recursion round of w.
-                delta = y.index - w.index - v.index
-                if delta >= 0 and _semigroup_reachable(delta, own):
-                    return True
-            if v.symbol in schema.domain and v.symbol != w.symbol:
-                nxt = Variable(v.symbol, w.index + v.index)
-                if nxt.index <= y.index:
-                    frontier.append(nxt)
-        # Self-recursion with offset 0 re-emits the same variables; positive
-        # offsets are folded into the semigroup test above, so no need to
-        # enqueue shifted copies of w itself.
-    return False
-
-
-def store_eligible(
-    eq: Equation, store: frozenset[Equation], schema: Schema
-) -> bool:
+def store_eligible(eq: Equation, index: StoreIndex, schema: Schema) -> bool:
+    """May eq move into the store that index describes?"""
     if not isinstance(eq.lhs, Var):
         return False
     y = eq.lhs.var
@@ -92,20 +74,14 @@ def store_eligible(
         # Condition 1: bindings on schema variables, unless the rhs is a
         # plain variable outside the schema.
         return not (isinstance(r, Var) and not schema.contains(r.var))
-    # Condition 2: tied to an existing store entry.
-    for stored in store:
-        x = stored.lhs
-        assert isinstance(x, Var)
-        if y in variables(stored.rhs) or r == x or y == x.var:
-            return True
+    # Condition 2: tied to an existing store entry (y occurs in it, or the
+    # rhs is a variable the store binds).
+    if y in index.lhs_vars or y in index.rhs_vars:
+        return True
+    if isinstance(r, Var) and r.var in index.lhs_vars:
+        return True
     # Condition 3: reachable from a schema variable of the store by unfolding.
-    store_vars: set[Variable] = set()
-    for stored in store:
-        store_vars |= variables(stored.lhs) | variables(stored.rhs)
-    return any(
-        schema.contains(z) and reachable_by_unfolding(y, z, schema)
-        for z in sorted(store_vars)
-    )
+    return any(schema.reachable_by_unfolding(y, z) for z in index.schema_vars)
 
 
 class _State:
@@ -215,10 +191,9 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         )
 
     while True:
+        index = StoreIndex.of(store, schema)
         movable = [
-            e
-            for e in sorted_eqs(active)
-            if store_eligible(e, frozenset(store), schema)
+            e for e in sorted_eqs(active) if store_eligible(e, index, schema)
         ]
         if not movable:
             break

@@ -4,15 +4,22 @@ A schema finitely presents the infinite binding family
 ``{X[j] -> shift(j, base(X)) | j >= 0}`` by storing one base term per domain
 symbol at shift 0.  This module covers classification (not-simple / simple /
 uniform / primitive), restriction to a term (t-substitution), iterated
-instantiation, folding of unfoldings back to schema variables
-(normalization), and a uniform-to-primitive rewrite of the schema alone,
-which the solver does not use.
+instantiation, reachability of a variable by unfolding, folding of
+unfoldings back to schema variables (normalization), and a
+uniform-to-primitive rewrite of the schema alone, which the solver does not
+use.
+
+A ``Schema`` builds its symbol -> base table, its domain and its recursion
+offsets once, when it is made, so lookups are dict and set operations.  It
+also memoizes ``reachable_by_unfolding``, which depends only on the two
+symbols and the index difference.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -31,11 +38,38 @@ class SchemaError(Exception):
     pass
 
 
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Schema:
-    """Finite map from domain symbol to its shift-0 base term."""
+    """Finite map from domain symbol to its shift-0 base term.
+
+    Only ``rules`` is compared and hashed; the other fields are derived
+    from it when the schema is made (``_reach`` fills as it is queried).
+    """
 
     rules: tuple[tuple[str, Term], ...]
+    domain: frozenset[str] = field(init=False, repr=False, compare=False)
+    _bases: dict[str, Term] = field(init=False, repr=False, compare=False)
+    _offsets: dict[str, frozenset[int]] = field(
+        init=False, repr=False, compare=False
+    )
+    _reach: dict[tuple[str, int, str], bool] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        bases: dict[str, Term] = {}
+        for s, t in self.rules:
+            bases.setdefault(s, t)
+        _set(self, "_bases", bases)
+        _set(self, "domain", frozenset(bases))
+        _set(self, "_offsets", {
+            s: frozenset(v.index for v in variables(t) if v.symbol == s)
+            for s, t in bases.items()
+        })
+        _set(self, "_reach", {})
 
     @staticmethod
     def of(rules: dict[str, Term] | Iterable[tuple[str, Term]]) -> "Schema":
@@ -46,15 +80,11 @@ class Schema:
             raise SchemaError("duplicate schema rule for a symbol")
         return Schema(pairs)
 
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(s for s, _ in self.rules)
-
     def base(self, symbol: str) -> Term:
-        for s, t in self.rules:
-            if s == symbol:
-                return t
-        raise SchemaError(f"unknown schema symbol: {symbol}")
+        try:
+            return self._bases[symbol]
+        except KeyError:
+            raise SchemaError(f"unknown schema symbol: {symbol}") from None
 
     def base_set(self) -> list[Term]:
         return [t for _, t in self.rules]
@@ -67,8 +97,26 @@ class Schema:
         return shift(v.index, self.base(v.symbol))
 
     def recursion_offsets(self, symbol: str) -> frozenset[int]:
-        t = self.base(symbol)
-        return frozenset(v.index for v in variables(t) if v.symbol == symbol)
+        self.base(symbol)  # SchemaError for an unknown symbol
+        return self._offsets[symbol]
+
+    def reachable_by_unfolding(self, y: Variable, z: Variable) -> bool:
+        """Does y occur in some k-fold unfolding of the schema variable z?
+
+        The answer depends only on y's symbol, z's symbol and the index
+        difference idx(y) - idx(z) (it is False when that is negative), so
+        it is computed once per such triple and then looked up.
+        """
+        d = y.index - z.index
+        if d < 0:
+            return False
+        key = (y.symbol, d, z.symbol)
+        hit = self._reach.get(key)
+        if hit is None:
+            hit = self._reach[key] = _reachable(
+                Variable(y.symbol, d), Variable(z.symbol, 0), self
+            )
+        return hit
 
     def classify(self) -> SchemaClass:
         dom = self.domain
@@ -145,6 +193,49 @@ class Schema:
 
     def __str__(self) -> str:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)
+
+
+def _semigroup_reachable(delta: int, generators: Iterable[int]) -> bool:
+    """Is delta a sum (with repetition) of the given positive generators?"""
+    gens = sorted({g for g in generators if g > 0})
+    if delta == 0:
+        return True
+    if not gens:
+        return False
+    can = [True] + [False] * delta
+    for n in range(1, delta + 1):
+        can[n] = any(g <= n and can[n - g] for g in gens)
+    return can[delta]
+
+
+def _reachable(y: Variable, z: Variable, schema: Schema) -> bool:
+    """Walks the schema variables reachable from z (indices only grow, and
+    only indices <= idx(y) can still contribute an occurrence of y),
+    checking at each of them whether one more unfolding emits y directly."""
+    seen: set[Variable] = set()
+    frontier = deque([z])
+    while frontier:
+        w = frontier.popleft()
+        if w in seen or not schema.contains(w):
+            continue
+        seen.add(w)
+        base = schema.base(w.symbol)
+        own = schema.recursion_offsets(w.symbol)
+        for v in variables(base):
+            if v.symbol == y.symbol:
+                # Parameter occurrence at offset v.index, re-emitted after
+                # every self-recursion round of w.
+                delta = y.index - w.index - v.index
+                if delta >= 0 and _semigroup_reachable(delta, own):
+                    return True
+            if v.symbol in schema.domain and v.symbol != w.symbol:
+                nxt = Variable(v.symbol, w.index + v.index)
+                if nxt.index <= y.index:
+                    frontier.append(nxt)
+        # Self-recursion with offset 0 re-emits the same variables; positive
+        # offsets are folded into the semigroup test above, so no need to
+        # enqueue shifted copies of w itself.
+    return False
 
 
 # -- uniform -> primitive rewrite -------------------------------------------

@@ -1,35 +1,49 @@
 """Indexed first-order terms, hash-consed.
 
-Variables carry a symbol and a natural-number index (``X[3]``); function
-applications have a fixed head symbol and an ordered argument tuple.
-Constants are arity-0 applications.
+Variables carry a symbol and a natural-number index (``X[3]``); a
+``Variable`` is a value tuple ``(symbol, index)``, ordered by symbol then
+index, and hashed and compared as a tuple.  Function applications have a
+fixed head symbol and an ordered argument tuple.  Constants are arity-0
+applications.
 
 Terms are interned: ``Var(v)`` and ``App(head, args)`` return the one live
 object with that structure, so structurally equal terms are the same
-object, equality is identity, and a term that occurs many times is stored
-once (a term is a DAG, however large its tree).  Each node caches its hash,
-tree size, depth, variable set and sort key when it is built, from its
-children's cached values, so reading any of them never walks the term.
-Terms are immutable; copying or unpickling one yields the interned object.
+object, equality is identity, and hashing is by identity too (both run in
+C).  A term that occurs many times is stored once (a term is a DAG, however
+large its tree).  Each node caches its tree size, depth, variable set and
+sort key when it is built, from its children's cached values, so reading
+any of them never walks the term.  Terms are immutable; copying or
+unpickling one yields the interned object.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterator, Union
+from dataclasses import FrozenInstanceError
+from typing import NamedTuple, Union
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class _VariableFields(NamedTuple):
     symbol: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"negative variable index: {self.symbol}[{self.index}]")
-        if not self.symbol:
+
+class Variable(_VariableFields):
+    """An indexed variable ``symbol[index]``: a value tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, symbol: str, index: int) -> "Variable":
+        if index < 0:
+            raise ValueError(f"negative variable index: {symbol}[{index}]")
+        if not symbol:
             raise ValueError("empty variable symbol")
+        return super().__new__(cls, symbol, index)
+
+    @classmethod
+    def _make(cls, iterable) -> "Variable":
+        # Through __new__, so _replace checks its fields too.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.symbol}[{self.index}]"
@@ -41,13 +55,11 @@ class _Node:
     ``size`` is the tree size in nodes (a shared subterm counts once per
     occurrence), ``depth`` the height with leaves at 1, ``vars`` the
     frozenset of variables and ``key`` the canonical sort key (see
-    ``term_key``).  Equality is identity, which interning makes structural.
+    ``term_key``).  Equality and hashing are by identity, which interning
+    makes structural.
     """
 
-    __slots__ = ("_hash", "size", "depth", "vars", "key", "__weakref__")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("size", "depth", "vars", "key", "__weakref__")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -68,7 +80,7 @@ _set = object.__setattr__
 # weakly, so a term no one else references is dropped from its table.  The
 # tables are process-wide and filled without a lock: build terms from one
 # thread at a time.
-_vars: "weakref.WeakValueDictionary[tuple[str, int], Var]" = (
+_vars: "weakref.WeakValueDictionary[Variable, Var]" = (
     weakref.WeakValueDictionary()
 )
 _apps: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
@@ -78,17 +90,15 @@ class Var(_Node):
     __slots__ = ("var",)
 
     def __new__(cls, var: Variable) -> "Var":
-        structure = (var.symbol, var.index)
-        t = _vars.get(structure)
+        t = _vars.get(var)
         if t is None:
             t = object.__new__(cls)
             _set(t, "var", var)
-            _set(t, "_hash", hash(structure))
             _set(t, "size", 1)
             _set(t, "depth", 1)
             _set(t, "vars", frozenset((var,)))
             _set(t, "key", (0, var.symbol, var.index))
-            _vars[structure] = t
+            _vars[var] = t
         return t
 
     def __reduce__(self):
@@ -127,7 +137,6 @@ class App(_Node):
             t = object.__new__(cls)
             _set(t, "head", head)
             _set(t, "args", args)
-            _set(t, "_hash", hash(structure))
             _set(t, "size", size)
             _set(t, "depth", depth + 1)
             _set(t, "vars", vs)
@@ -148,9 +157,6 @@ class App(_Node):
 
 
 Term = Union[Var, App]
-
-# A position is a tuple of 1-based argument indices; () is the root.
-Position = tuple[int, ...]
 
 
 def var(symbol: str, index: int) -> Term:
@@ -178,45 +184,8 @@ def depth(t: Term) -> int:
     return t.depth
 
 
-def positions(t: Term) -> list[Position]:
-    out: list[Position] = [()]
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            out.extend((i,) + p for p in positions(a))
-    return out
-
-
-def subterm_at(t: Term, p: Position) -> Term:
-    for i in p:
-        if isinstance(t, Var) or not (1 <= i <= len(t.args)):
-            raise InvalidPosition(f"position {p} not valid in {t}")
-        t = t.args[i - 1]
-    return t
-
-
-class InvalidPosition(Exception):
-    pass
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
-
-
 def variables(t: Term) -> frozenset[Variable]:
     return t.vars
-
-
-def var_sets(t: Term) -> tuple[frozenset[str], frozenset[int], frozenset[Variable]]:
-    """(symbols, indices, variables) occurring in t."""
-    vs = variables(t)
-    return (
-        frozenset(v.symbol for v in vs),
-        frozenset(v.index for v in vs),
-        vs,
-    )
 
 
 def term_key(t: Term) -> tuple:

@@ -9,18 +9,20 @@ distinct subterms of the input, where a fully applied solved form can be
 exponentially larger than it.  The mgu is resolved once, at the end, with
 one memo shared by all bindings.  Failure is reported as a verdict (Clash
 or Cycle) carrying the offending equation, not as an exception.
+
+An ``Equation`` is a value tuple ``(lhs, rhs)``: over interned terms its
+hash and equality are tuple operations on identities, all in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .terms import App, Term, Var, Variable
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     lhs: Term
     rhs: Term
 
@@ -79,9 +81,6 @@ class Substitution:
         items = sorted(self._map.items(), key=lambda kv: (kv[0].symbol, kv[0].index))
         return "{" + ", ".join(f"{v} -> {t}" for v, t in items) + "}"
 
-    def __call__(self, t: Term) -> Term:
-        return self.apply(t)
-
     def apply(self, t: Term) -> Term:
         return self._applier()(t)
 
@@ -120,9 +119,6 @@ class Substitution:
         for v, t in other._map.items():
             m.setdefault(v, t)
         return Substitution(m)
-
-
-EMPTY_SUB = Substitution()
 
 
 @dataclass(frozen=True)
@@ -205,12 +201,3 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
         bound[s.var] = t
 
     return Substitution({v: resolve(t) for v, t in bound.items()})
-
-
-def unifiable(eqs: Iterable[Equation]) -> bool:
-    return isinstance(unify(eqs), Substitution)
-
-
-def mgu_or_none(eqs: Iterable[Equation]) -> Optional[Substitution]:
-    r = unify(eqs)
-    return r if isinstance(r, Substitution) else None

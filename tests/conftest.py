@@ -1,6 +1,7 @@
 import glob
 import os
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from schemunif.cli import parse_problem
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem
-from schemunif.terms import App, Var, app, var, variables
-from schemunif.unify import Equation, Substitution, UnifyFailure, sorted_eqs
+from schemunif.terms import App, Var, Variable, app, var, variables
+from schemunif.unify import (
+    Equation,
+    Substitution,
+    UnifyFailure,
+    sorted_eqs,
+    unify,
+)
 
 sys.setrecursionlimit(100_000)
 
@@ -48,6 +55,28 @@ def L(i):
 
 def eq(lhs, rhs):
     return Equation(lhs, rhs)
+
+
+def unifiable(eqs):
+    return isinstance(unify(eqs), Substitution)
+
+
+def subterms(t):
+    """Every subterm occurrence of t, in pre-order."""
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from subterms(a)
+
+
+def positions(t):
+    """Every position of t (a tuple of 1-based argument indices; () is the
+    root), in pre-order."""
+    out = [()]
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, start=1):
+            out.extend((i,) + p for p in positions(a))
+    return out
 
 
 GOLDEN_BASE = f(f(X(1), f(Z(0), f(X(1), f(X(0), f(Z(1), X(0)))))), L(1))
@@ -243,3 +272,65 @@ def reference_unify(eqs):
             if v != s.var:
                 sub[v] = one.apply(sub[v])
     return Substitution(sub)
+
+
+# -- reference store eligibility ---------------------------------------------
+#
+# The engine's earlier per-candidate eligibility, kept as the reference: it
+# rescans the store for every candidate and walks the schema for every store
+# schema variable, with no index and no memo.
+
+
+def _semigroup_reachable(delta, generators):
+    gens = sorted({g for g in generators if g > 0})
+    if delta == 0:
+        return True
+    if not gens:
+        return False
+    can = [True] + [False] * delta
+    for n in range(1, delta + 1):
+        can[n] = any(g <= n and can[n - g] for g in gens)
+    return can[delta]
+
+
+def reference_reachable_by_unfolding(y, z, schema):
+    seen = set()
+    frontier = deque([z])
+    while frontier:
+        w = frontier.popleft()
+        if w in seen or not schema.contains(w):
+            continue
+        seen.add(w)
+        base = schema.base(w.symbol)
+        own = schema.recursion_offsets(w.symbol)
+        for v in variables(base):
+            if v.symbol == y.symbol:
+                delta = y.index - w.index - v.index
+                if delta >= 0 and _semigroup_reachable(delta, own):
+                    return True
+            if v.symbol in schema.domain and v.symbol != w.symbol:
+                nxt = Variable(v.symbol, w.index + v.index)
+                if nxt.index <= y.index:
+                    frontier.append(nxt)
+    return False
+
+
+def reference_store_eligible(eq, store, schema):
+    if not isinstance(eq.lhs, Var):
+        return False
+    y = eq.lhs.var
+    r = eq.rhs
+    if schema.contains(y):
+        return not (isinstance(r, Var) and not schema.contains(r.var))
+    for stored in store:
+        x = stored.lhs
+        assert isinstance(x, Var)
+        if y in variables(stored.rhs) or r == x or y == x.var:
+            return True
+    store_vars = set()
+    for stored in store:
+        store_vars |= variables(stored.lhs) | variables(stored.rhs)
+    return any(
+        schema.contains(z) and reference_reachable_by_unfolding(y, z, schema)
+        for z in sorted(store_vars)
+    )

@@ -7,6 +7,7 @@ oracle agreement suites, the structural property suites, and output
 determinism.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -26,9 +27,22 @@ from schemunif.solver import (
     u_sch_unif,
 )
 from schemunif.terms import Var, depth, shift, var
-from schemunif.unify import Substitution, unifiable, unify
+from schemunif.unify import Substitution, unify
 
-from .conftest import EX_BASE, PROBLEM_DIR, SRC_PATH, L, X, Y, Z, eq, f, h
+from .conftest import (
+    EX_BASE,
+    PROBLEM_DIR,
+    SRC_PATH,
+    L,
+    X,
+    Y,
+    Z,
+    eq,
+    f,
+    h,
+    unifiable,
+)
+from .test_corpus_outputs import ROOT, assert_matches_pins, load_pins
 from .test_engine import random_term
 from .test_solver import _shift_of_subterm
 
@@ -339,19 +353,21 @@ def test_full_corpus_outputs_stable_in_process():
 
 
 def test_outputs_stable_across_processes():
-    # Different hash seeds shuffle set iteration order; canonical sorting
-    # must hide that completely.
-    samples = ["golden.prob", "ex7.prob", "const_clash.prob", "occurs_late.prob"]
-    for name in samples:
-        path = os.path.join(PROBLEM_DIR, name)
-        outputs = []
-        for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_PATH)
-            proc = subprocess.run(
-                [sys.executable, "-m", "schemunif.cli", path, "--trace"],
-                capture_output=True,
-                env=env,
-            )
-            assert proc.returncode in (0, 1), proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1], name
+    # Different hash seeds, and different object addresses, shuffle set
+    # iteration order; canonical sorting must hide that completely.  One
+    # process per seed runs all 25 corpus inputs in both output modes.
+    pins = load_pins()
+    for seed in ("0", "4242"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([SRC_PATH, ROOT]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.test_corpus_outputs"],
+            capture_output=True,
+            env=env,
+            cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert_matches_pins(json.loads(proc.stdout), pins)

@@ -1,17 +1,31 @@
 import random
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schemunif.engine import (
-    reachable_by_unfolding,
-    store_eligible,
-    th_unif,
-)
+from schemunif import schema as schema_module
+from schemunif.engine import StoreIndex, store_eligible, th_unif
 from schemunif.schema import Schema
-from schemunif.terms import Var, app, var
-from schemunif.unify import Equation, Substitution, unifiable
+from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
+from schemunif.terms import Var, Variable, app, var
+from schemunif.unify import Equation, Substitution
 
-from .conftest import EX_BASE, GOLDEN_BASE, L, X, Y, Z, eq, equations, f, h
+from .conftest import (
+    EX_BASE,
+    GOLDEN_BASE,
+    L,
+    X,
+    Y,
+    Z,
+    eq,
+    equations,
+    f,
+    h,
+    reference_reachable_by_unfolding,
+    reference_store_eligible,
+    terms,
+    unifiable,
+)
 
 
 def ex_schema():
@@ -102,59 +116,164 @@ def test_verdict_matches_plain_unification(eqs):
 
 def test_parameter_reachable_through_unfolding():
     schema = ex_schema()  # base emits X[0] and X[1], recursion offset 1
-    assert reachable_by_unfolding(X(0).var, L(0).var, schema)
-    assert reachable_by_unfolding(X(7).var, L(0).var, schema)
-    assert reachable_by_unfolding(X(7).var, L(3).var, schema)
+    assert schema.reachable_by_unfolding(X(0).var, L(0).var)
+    assert schema.reachable_by_unfolding(X(7).var, L(0).var)
+    assert schema.reachable_by_unfolding(X(7).var, L(3).var)
     # Indices below the schema variable's own index never appear.
-    assert not reachable_by_unfolding(X(2).var, L(3).var, schema)
+    assert not schema.reachable_by_unfolding(X(2).var, L(3).var)
     # Symbols the base never emits are unreachable.
-    assert not reachable_by_unfolding(Y(5).var, L(0).var, schema)
+    assert not schema.reachable_by_unfolding(Y(5).var, L(0).var)
 
 
 def test_reachability_respects_offset_gaps():
     # Recursion offset 2 emits parameters only at even distances.
     schema = Schema.of({"L": f(X(0), L(2))})
-    assert reachable_by_unfolding(X(0).var, L(0).var, schema)
-    assert reachable_by_unfolding(X(4).var, L(0).var, schema)
-    assert not reachable_by_unfolding(X(3).var, L(0).var, schema)
-    assert reachable_by_unfolding(X(3).var, L(1).var, schema)
+    assert schema.reachable_by_unfolding(X(0).var, L(0).var)
+    assert schema.reachable_by_unfolding(X(4).var, L(0).var)
+    assert not schema.reachable_by_unfolding(X(3).var, L(0).var)
+    assert schema.reachable_by_unfolding(X(3).var, L(1).var)
 
 
 def test_reachability_crosses_rules():
     schema = Schema.of(
         {"L": f(X(0), var("M", 2)), "M": f(Z(0), var("M", 1))}
     )
-    assert reachable_by_unfolding(Z(2).var, L(0).var, schema)
-    assert reachable_by_unfolding(Z(5).var, L(0).var, schema)
-    assert not reachable_by_unfolding(Z(1).var, L(0).var, schema)
+    assert schema.reachable_by_unfolding(Z(2).var, L(0).var)
+    assert schema.reachable_by_unfolding(Z(5).var, L(0).var)
+    assert not schema.reachable_by_unfolding(Z(1).var, L(0).var)
+
+
+def eligible(e, store, schema):
+    return store_eligible(e, StoreIndex.of(store, schema), schema)
 
 
 def test_store_eligible_schema_variable_binding():
     schema = ex_schema()
     empty = frozenset()
-    assert store_eligible(eq(L(0), h(Y(0), Y(1))), empty, schema)
+    assert eligible(eq(L(0), h(Y(0), Y(1))), empty, schema)
     # A schema variable bound to a plain outside variable is not stored.
-    assert not store_eligible(eq(L(0), Y(0)), empty, schema)
-    assert not store_eligible(eq(h(X(0), X(1)), Y(0)), empty, schema)
+    assert not eligible(eq(L(0), Y(0)), empty, schema)
+    assert not eligible(eq(h(X(0), X(1)), Y(0)), empty, schema)
 
 
 def test_store_eligible_tied_to_existing_entry():
     schema = ex_schema()
     store = frozenset([eq(Y(0), h(X(0), X(1)))])
     # Shares the stored rhs variable X[0].
-    assert store_eligible(eq(X(0), h(Y(5), Y(6))), store, schema)
+    assert eligible(eq(X(0), h(Y(5), Y(6))), store, schema)
     # Binds the same variable as a stored entry.
-    assert store_eligible(eq(Y(0), h(Y(7), Y(7))), store, schema)
+    assert eligible(eq(Y(0), h(Y(7), Y(7))), store, schema)
     # Unrelated binding on a fresh symbol is not eligible.
-    assert not store_eligible(eq(Z(9), h(Y(5), Y(5))), store, schema)
+    assert not eligible(eq(Z(9), h(Y(5), Y(5))), store, schema)
 
 
 def test_store_eligible_via_future_unfolding():
     schema = ex_schema()
     store = frozenset([eq(Y(0), L(2))])
     # X[3] appears once L[2] is unfolded, so the binding is relevant.
-    assert store_eligible(eq(X(3), h(Y(5), Y(6))), store, schema)
-    assert not store_eligible(eq(X(1), h(Y(5), Y(6))), store, schema)
+    assert eligible(eq(X(3), h(Y(5), Y(6))), store, schema)
+    assert not eligible(eq(X(1), h(Y(5), Y(6))), store, schema)
+
+
+# -- the store index and the reachability memo against the references ------
+
+DIFF_SYMBOLS = ["L", "M", "X", "Y", "Z"]
+DIFF_RULES = [
+    # One rule recursing at offset 2 around two parameters.
+    {"L": f(f(X(0), Y(1)), L(2))},
+    # Two rules: L reaches M two indices on, M recurses at offset 1.
+    {"L": f(X(0), var("M", 2)), "M": f(Z(0), var("M", 1))},
+]
+
+
+def _diff_terms(max_index):
+    return terms(max_depth=3, max_index=max_index, symbols=DIFF_SYMBOLS)
+
+
+def _diff_vars(max_index):
+    return st.builds(var, st.sampled_from(DIFF_SYMBOLS), st.integers(0, max_index))
+
+
+_stores = st.frozensets(
+    st.builds(Equation, _diff_vars(6), _diff_terms(6)), max_size=6
+)
+_candidates = st.lists(
+    st.one_of(
+        st.builds(Equation, _diff_vars(9), _diff_terms(9)),
+        st.builds(Equation, _diff_terms(9), _diff_terms(9)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DIFF_RULES), _stores, _candidates)
+def test_store_index_matches_reference_eligibility(rules, store, candidates):
+    schema = Schema.of(rules)
+    index = StoreIndex.of(store, schema)
+    for e in candidates:
+        assert store_eligible(e, index, schema) == reference_store_eligible(
+            e, store, schema
+        ), (str(schema), sorted(map(str, store)), str(e))
+
+
+def test_memoized_reachability_matches_reference():
+    all_rules = DIFF_RULES + [
+        {"L": EX_BASE},
+        {"L": GOLDEN_BASE},
+        {"L": f(X(0), L(0))},
+        {"L": f(f(X(1), X(3)), L(3))},
+    ]
+    for rules in all_rules:
+        schema = Schema.of(rules)
+        symbols = sorted(
+            {v.symbol for t in schema.base_set() for v in t.vars} | {"W"}
+        )
+        for z_symbol in sorted(schema.domain) + ["X"]:
+            for z_index in range(4):
+                for y_symbol in symbols:
+                    for shift in range(-3, 9):
+                        if z_index + shift < 0:
+                            continue
+                        y = Variable(y_symbol, z_index + shift)
+                        z = Variable(z_symbol, z_index)
+                        want = reference_reachable_by_unfolding(y, z, schema)
+                        assert schema.reachable_by_unfolding(y, z) == want, (
+                            str(schema), str(y), str(z)
+                        )
+
+
+def tied_ring(k):
+    """k rules Lc[i] -> f(Xc[i], Lc[i+1]) with their heads tied in a ring."""
+    schema = Schema.of(
+        {f"L{c}": f(var(f"X{c}", 0), var(f"L{c}", 1)) for c in range(k)}
+    )
+    ties = frozenset(
+        eq(var(f"L{c}", 0), var(f"L{(c + 1) % k}", 0)) for c in range(k)
+    )
+    return SchematicProblem(ties, schema)
+
+
+def test_reachability_computed_once_per_memo_key(monkeypatch, golden_problem):
+    computed = []
+    walk = schema_module._reachable
+
+    def counting(y, z, schema):
+        computed.append((y, z))
+        return walk(y, z, schema)
+
+    monkeypatch.setattr(schema_module, "_reachable", counting)
+    # On tied-8 every query has idx(y) < idx(z) and is answered without a
+    # walk; golden needs a few walks for many queries.
+    fresh_golden = SchematicProblem(
+        golden_problem.equations, Schema(golden_problem.schema.rules)
+    )
+    for problem in (tied_ring(8), fresh_golden):
+        computed.clear()
+        assert isinstance(u_sch_unif(problem).outcome, CycleFound)
+        assert len(computed) <= len(problem.schema._reach)
+    assert computed
 
 
 # -- seeded differential suite ----------------------------------------------

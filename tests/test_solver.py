@@ -24,10 +24,10 @@ from schemunif.solver import (
     u_sch_unif,
     var_disjoint,
 )
-from schemunif.terms import Var, depth, shift, subterms, var
+from schemunif.terms import Var, depth, shift, var
 from schemunif.unify import Substitution, eq_vars
 
-from .conftest import EX_BASE, L, X, Y, Z, eq, f, h, uniform_problems
+from .conftest import EX_BASE, L, X, Y, Z, eq, f, h, subterms, uniform_problems
 
 
 def ex_schema():

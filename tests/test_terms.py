@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 from schemunif.cli import parse_problem
 from schemunif.terms import (
     App,
-    InvalidPosition,
     Var,
     Variable,
     app,
     const,
     depth,
-    positions,
     shift,
-    subterm_at,
-    subterms,
     term_key,
     var,
-    var_sets,
     variables,
 )
 
-from .conftest import GOLDEN_BASE, PROBLEM_DIR, X, Z, f, terms
+from .conftest import GOLDEN_BASE, PROBLEM_DIR, X, Z, f, positions, subterms, terms
 
 
 def test_variable_str():
@@ -35,6 +30,32 @@ def test_variable_str():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         Variable("X", -1)
+    with pytest.raises(ValueError):
+        Variable("", 0)
+    with pytest.raises(ValueError):
+        Variable("X", 1)._replace(index=-1)
+
+
+def test_variable_value_semantics():
+    v = Variable("X", 3)
+    assert v == Variable("X", 3)
+    assert hash(v) == hash(Variable("X", 3))
+    assert v != Variable("X", 4) and v != Variable("Y", 3)
+    assert (v.symbol, v.index) == ("X", 3)
+    assert repr(v) == "Variable(symbol='X', index=3)"
+    assert Variable(index=3, symbol="X") == v
+    # Ordered by symbol, then index.
+    assert sorted([Variable("Y", 0), Variable("X", 10), Variable("X", 2)]) == [
+        Variable("X", 2),
+        Variable("X", 10),
+        Variable("Y", 0),
+    ]
+    for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert copied == v and type(copied) is Variable
+    with pytest.raises(AttributeError):
+        v.index = 4
+    with pytest.raises(AttributeError):
+        v.extra = 0
 
 
 def test_term_str():
@@ -80,33 +101,10 @@ def test_depth_leaves():
     assert depth(const("a")) == 1
 
 
-def test_positions_and_subterm_at():
-    t = f(X(0), f(Z(1), X(2)))
-    assert positions(t) == [(), (1,), (2,), (2, 1), (2, 2)]
-    assert subterm_at(t, ()) == t
-    assert subterm_at(t, (2, 1)) == Z(1)
-    with pytest.raises(InvalidPosition):
-        subterm_at(t, (3,))
-    with pytest.raises(InvalidPosition):
-        subterm_at(t, (1, 1))
-
-
-@given(terms())
-def test_every_position_resolves(t):
-    seen = [subterm_at(t, p) for p in positions(t)]
-    assert seen == list(subterms(t))
-
-
 @given(terms())
 def test_variables_matches_subterm_scan(t):
-    from schemunif.terms import Var
-
     expect = {s.var for s in subterms(t) if isinstance(s, Var)}
     assert variables(t) == expect
-    syms, idxs, vs = var_sets(t)
-    assert vs == frozenset(expect)
-    assert syms == {v.symbol for v in expect}
-    assert idxs == {v.index for v in expect}
 
 
 @given(terms(), terms())

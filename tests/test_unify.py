@@ -1,19 +1,21 @@
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif.terms import app, const, var
 from schemunif.unify import (
-    EMPTY_SUB,
+    Equation,
     Substitution,
     UnifyFailure,
     eq_vars,
-    mgu_or_none,
     sorted_eqs,
-    unifiable,
     unify,
 )
 
-from .conftest import X, Y, Z, eq, equations, f, reference_unify, terms
+from .conftest import X, Y, Z, eq, equations, f, reference_unify, terms, unifiable
 
 
 def test_substitution_drops_self_bindings():
@@ -77,9 +79,22 @@ def test_unify_chained():
     assert r.apply(X(0)) == f(const("a"), Z(1))
 
 
-def test_mgu_or_none():
-    assert mgu_or_none([eq(X(0), f(X(0), X(0)))]) is None
-    assert mgu_or_none([eq(X(0), X(0))]) == EMPTY_SUB
+def test_equation_value_semantics():
+    e = Equation(X(0), f(Y(0), Y(1)))
+    assert e == Equation(X(0), f(Y(0), Y(1)))
+    assert hash(e) == hash(Equation(X(0), f(Y(0), Y(1))))
+    assert e != e.flip() and e.flip().flip() == e
+    assert (e.lhs, e.rhs) == (X(0), f(Y(0), Y(1)))
+    assert Equation(rhs=f(Y(0), Y(1)), lhs=X(0)) == e
+    assert str(e) == "X[0] = f(Y[0], Y[1])"
+    assert repr(e) == f"Equation(lhs={X(0)!r}, rhs={f(Y(0), Y(1))!r})"
+    for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert copied == e and type(copied) is Equation
+        assert copied.lhs is e.lhs and copied.rhs is e.rhs
+    with pytest.raises(AttributeError):
+        e.lhs = Y(0)
+    with pytest.raises(AttributeError):
+        e.extra = 0
 
 
 @settings(max_examples=300)
