@@ -403,8 +403,25 @@ def to_json(run: SolverRun, oracle: Optional[OracleReport]) -> str:
 # -- entry point ------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as an input error (exit 3): exit 2 means
+    the solver gave up."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a natural number, got {text!r}"
+        )
+    return int(text)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="schemunif",
         description="Decide unifiability of a uniform schematic "
         "unification problem.",
@@ -414,18 +431,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--json", action="store_true", help="JSON output")
     ap.add_argument(
         "--oracle",
-        type=int,
+        type=_natural,
         metavar="N",
         default=None,
         help=f"cross-check the first N+1 instances by direct unification "
         f"(suggested {DEFAULT_N})",
     )
     ap.add_argument(
-        "--max-iterations", type=int, metavar="K", default=None,
+        "--max-iterations", type=_natural, metavar="K", default=None,
         help="solver iteration cap",
     )
     ap.add_argument(
-        "--oracle-node-cap", type=int, metavar="M", default=DEFAULT_NODE_CAP,
+        "--oracle-node-cap",
+        type=_natural,
+        metavar="M",
+        default=DEFAULT_NODE_CAP,
         help="per-instance node limit for the oracle",
     )
     args = ap.parse_args(argv)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from schemunif.cli import parse_problem
+from schemunif.engine import FinalConfiguration, StoreIndex, store_eligible
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem
 from schemunif.terms import App, Var, Variable, app, var, variables
@@ -334,3 +335,108 @@ def reference_store_eligible(eq, store, schema):
         schema.contains(z) and reference_reachable_by_unfolding(y, z, schema)
         for z in sorted(store_vars)
     )
+
+
+# -- reference saturation ----------------------------------------------------
+#
+# The engine's earlier saturation loop, kept as the reference: three rule
+# queues (orient App = Var, decompose, orient Var = Var), a change buffer that
+# is sorted and screened for clashes after every pass, and a queue of
+# transitivity pairs; the move phase sorts the active set every round.
+
+
+def reference_th_unif(eqs, schema):
+    active = set(eqs)
+    store = set()
+    changes = sorted_eqs(active)
+    var_dict = {}
+    orient1, decom, orient2, trans = deque(), deque(), deque(), deque()
+
+    def update():
+        nonlocal changes
+        for e in changes:
+            if (
+                isinstance(e.lhs, App)
+                and isinstance(e.rhs, App)
+                and (e.lhs.head != e.rhs.head or len(e.lhs.args) != len(e.rhs.args))
+            ):
+                return e
+        batch = sorted_eqs(changes)
+        orient1.extend(
+            e for e in batch if isinstance(e.lhs, App) and isinstance(e.rhs, Var)
+        )
+        decom.extend(
+            e
+            for e in batch
+            if isinstance(e.lhs, App)
+            and isinstance(e.rhs, App)
+            and e.lhs.head == e.rhs.head
+            and len(e.lhs.args) == len(e.rhs.args)
+        )
+        orient2.extend(
+            e
+            for e in batch
+            if isinstance(e.lhs, Var)
+            and isinstance(e.rhs, Var)
+            and e.flip() not in active
+        )
+        for e in batch:
+            if isinstance(e.lhs, Var):
+                known = var_dict.setdefault(e.lhs.var, set())
+                if e not in known:
+                    trans.extend((e, other) for other in sorted_eqs(known))
+                    known.add(e)
+        changes = []
+        return None
+
+    def derive(new):
+        if new not in active:
+            active.add(new)
+            changes.append(new)
+
+    while True:
+        clash = update()
+        if clash is not None:
+            return FinalConfiguration(
+                frozenset(store), frozenset(active), "clash", clash
+            )
+        if not (orient1 or decom or orient2 or trans):
+            break
+        while orient1:
+            e = orient1.popleft()
+            if e in active:
+                active.discard(e)
+                derive(e.flip())
+        while decom:
+            e = decom.popleft()
+            if e in active:
+                active.discard(e)
+                for a, b in zip(e.lhs.args, e.rhs.args):
+                    if a != b:
+                        derive(Equation(a, b))
+        while orient2:
+            e = orient2.popleft()
+            if e in active:
+                derive(e.flip())
+        while trans:
+            e1, e2 = trans.popleft()
+            if e1 in active and e2 in active and e1.rhs != e2.rhs:
+                derive(Equation(e1.rhs, e2.rhs))
+
+    while True:
+        index = StoreIndex.of(store, schema)
+        movable = [
+            e for e in sorted_eqs(active) if store_eligible(e, index, schema)
+        ]
+        if not movable:
+            break
+        for e in movable:
+            store.add(e)
+            active.discard(e)
+
+    gate = unify(list(store) + list(active))
+    if isinstance(gate, UnifyFailure):
+        return FinalConfiguration(
+            frozenset(store), frozenset(active), gate.kind, gate.equation
+        )
+    return FinalConfiguration(frozenset(store), frozenset(active), "ok")

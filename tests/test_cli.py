@@ -209,6 +209,33 @@ def test_main_max_iterations(capsys):
     assert out.startswith("exhausted after 3 iterations")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--oracle", "-4"],  # used to check nothing and never warn
+        ["--max-iterations", "-3"],  # used to print "exhausted after -3"
+        ["--oracle-node-cap", "-1"],
+        ["--oracle", "x"],
+        [],  # no problem file
+    ],
+)
+def test_bad_arguments_are_input_errors(args, capsys):
+    file_args = [golden_path()] if args else []
+    with pytest.raises(SystemExit) as info:
+        main(file_args + args)
+    captured = capsys.readouterr()
+    assert info.value.code == 3
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schemunif")
+
+
 def test_main_warns_on_expect_mismatch(tmp_path, capsys):
     text = (
         "schema: L[i] -> h(X[i], L[i+1]);"

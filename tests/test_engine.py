@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif import schema as schema_module
+from schemunif import solver
+from schemunif.cli import parse_problem
 from schemunif.engine import StoreIndex, store_eligible, th_unif
 from schemunif.schema import Schema
 from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
-from schemunif.terms import Var, Variable, app, var
+from schemunif.terms import App, Var, Variable, app, var
 from schemunif.unify import Equation, Substitution
 
 from .conftest import (
@@ -23,6 +25,7 @@ from .conftest import (
     h,
     reference_reachable_by_unfolding,
     reference_store_eligible,
+    reference_th_unif,
     terms,
     unifiable,
 )
@@ -274,6 +277,68 @@ def test_reachability_computed_once_per_memo_key(monkeypatch, golden_problem):
         assert isinstance(u_sch_unif(problem).outcome, CycleFound)
         assert len(computed) <= len(problem.schema._reach)
     assert computed
+
+
+# -- the worklist engine against the earlier saturation loop ----------------
+
+ENGINE_RULES = [{"L": EX_BASE}, {"L": GOLDEN_BASE}] + DIFF_RULES
+
+_equation_lists = st.lists(
+    st.one_of(
+        st.builds(Equation, _diff_vars(6), _diff_terms(6)),
+        st.builds(Equation, _diff_terms(6), _diff_terms(6)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ENGINE_RULES), _equation_lists)
+def test_saturation_matches_reference_engine(rules, eqs):
+    schema = Schema.of(rules)
+    fc = th_unif(eqs, schema)
+    want = reference_th_unif(eqs, schema)
+    assert (fc.verdict, fc.store) == (want.verdict, want.store)
+    if fc.verdict == "clash":
+        # The clash reported may differ when there are several.
+        lhs, rhs = fc.offending
+        assert isinstance(lhs, App) and isinstance(rhs, App)
+        assert (lhs.head, len(lhs.args)) != (rhs.head, len(rhs.args))
+    else:
+        assert fc == want
+    assert th_unif(eqs[::-1], schema) == fc
+
+
+BLOW_UP_1 = (
+    "schema: L[i] -> f(X[i+1], L[i+1]);"
+    " problem: Y[1] = g(f(g(L[2]), Y[0])); f(Y[2], L[2]) = L[3];"
+)
+BLOW_UP_2 = (
+    "schema: L[i] -> f(f(X[i+3], X[i+3]), L[i+1]);"
+    " M[i] -> f(Z[i+1], f(Z[i], M[i+2]));"
+    " problem: M[0] = f(f(a, a), f(Z[0], M[3]));"
+)
+
+
+def test_whole_runs_match_reference_engine(monkeypatch):
+    """Tied rings and the two quadratic-store inputs give the same records
+    and outcome with the reference saturation loop; the caps keep the
+    growing-store runs short."""
+    runs = [(tied_ring(k), None) for k in range(4, 17)] + [
+        (parse_problem(BLOW_UP_1).problem, 24),
+        (parse_problem(BLOW_UP_2).problem, 16),
+    ]
+    got = [u_sch_unif(p, cap=cap) for p, cap in runs]
+    monkeypatch.setattr(solver, "th_unif", reference_th_unif)
+    for (p, cap), run in zip(runs, got):
+        want = u_sch_unif(p, cap=cap)
+        assert run.outcome == want.outcome
+        assert _record_fields(run) == _record_fields(want)
+
+
+def _record_fields(run):
+    return [(r.store, r.active, r.irr, r.eq_sub, r.metric) for r in run.records]
 
 
 # -- seeded differential suite ----------------------------------------------
