@@ -1,21 +1,30 @@
 """The schema-aware unification engine.
 
-A worklist procedure that saturates an equation set under decomposition,
-orientation and transitivity (with eager deletion of reflexive equations),
-then repeatedly moves eligible bindings into a store, and finally runs plain
-unification over everything as the clash/cycle gate.  The store it builds is
-the part of the solved form that stays relevant when the schema is unfolded
-one more step.
+Saturates an equation set under decomposition, orientation and
+transitivity, moves eligible bindings into a store, and gates the result
+for clashes and occurs cycles.  The store it builds is the part of the
+solved form that stays relevant when the schema is unfolded one more step.
 
-Saturation is one FIFO worklist, seeded once in ``Equation.key`` order.  An
-equation enters the active set, and the worklist, at most once while it is
-active, and is handled by its shape: ``App = Var`` is oriented, ``App = App``
-is decomposed (or is the clash), and ``Var = t`` adds its flip when t is a
-variable and is equated with every earlier right side of the same variable.
-Only equations with an ``App`` left side leave the active set, and only
-once handled, so what a rule derives stays derived: the saturated set is
-the least fixpoint of the rules whatever order they fire in, and the seed
-order only fixes which clash is reported when there are several.
+Saturation keeps union-find classes of variables.  Each class holds its
+member variables and its distinct ``App`` right sides (its sides); a
+``Var = Var`` equation merges two classes, the smaller into the larger.  A
+worklist, seeded once in ``Equation.key`` order, holds the pairs of terms
+still to equate: ``App = Var`` is oriented, ``App = App`` is decomposed
+(identical argument pairs skipped) or is the clash, ``Var = App`` adds a
+side to the variable's class, and ``Var = Var`` merges.  The active set is
+built from the classes once, at the end: x = y for distinct x, y of one
+class, x = t for every member x and side t of its class, and the input's
+reflexive equations.  That is the least fixpoint of the rules, built at
+the cost of its size, O(|C|^2) for a class C, where pairing every new
+right side of a variable with every earlier one cost O(|C|^3).  Three
+rules keep it exactly that set:
+
+- every pair of sides that meet in a class is decomposed, not each side
+  against one representative: ``Y0 = f(g(a), W0)``, ``Y0 = f(Y1, W0)``
+  and ``Y0 = f(Y2, W0)`` derive ``Y1 = Y2`` only from the last two;
+- classes merge only through ``Var = Var`` equations: ``Y0 = g(a)`` and
+  ``Y1 = g(a)`` do not derive ``Y0 = Y1``;
+- a reflexive ``X = X`` is kept when the input has it and never derived.
 
 Bindings move in rounds: each round judges every active equation against
 the store as it stood at the start of the round, then moves the whole
@@ -24,16 +33,26 @@ eligible batch, so the order of the candidates does not matter.  A
 and its schema variables) is built once per round, so judging one candidate
 takes set lookups and the schema's memoized reachability, not a pass over
 the store.
+
+The gate is plain unification of store and active set, and it is run only
+when it can fail.  Without a clash, every pair of sides of a class has the
+same head and arity and arguments that saturation equated, so unification
+can only fail on an occurs cycle, and it has one exactly when some class
+reaches itself in the graph from each class to the classes of the
+variables in its sides.  Along such a cycle a unifier would map a class to
+a term that strictly contains it; without one, binding the classes in
+reverse topological order, each to the image of any of its sides, is a
+unifier.  So an acyclic graph gives "ok" at once, and a cycle runs
+``unify``, which reports the same cycle equation as before.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .schema import Schema
-from .terms import Term, Var, Variable
+from .terms import App, Var, Variable
 from .unify import Equation, UnifyFailure, sorted_eqs, unify
 
 
@@ -91,43 +110,66 @@ def store_eligible(eq: Equation, index: StoreIndex, schema: Schema) -> bool:
     return any(schema.reachable_by_unfolding(y, z) for z in index.schema_vars)
 
 
+class _Class:
+    """A class of variables equated by ``Var = Var`` equations, with the
+    distinct ``App`` right sides bound to any of them, in arrival order."""
+
+    __slots__ = ("members", "sides")
+
+    def __init__(self, x: Var):
+        self.members = [x]
+        self.sides: dict[App, None] = {}  # an ordered set
+
+
 def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
     """Saturate, store, and gate an equation set against the schema."""
-    active: set[Equation] = set()
-    store: set[Equation] = set()
-    work: deque[Equation] = deque()
-    bound: dict[Variable, list[Term]] = {}  # right sides met per variable
+    classes: dict[Variable, _Class] = {}
+    reflexive: set[Equation] = set()
 
-    def add(e: Equation) -> None:
-        if e not in active:
-            active.add(e)
-            work.append(e)
+    def class_of(x: Var) -> _Class:
+        c = classes.get(x.var)
+        if c is None:
+            c = classes[x.var] = _Class(x)
+        return c
 
-    for e in sorted_eqs(eqs):
-        add(e)
+    work = [(e.lhs, e.rhs) for e in sorted_eqs(eqs)]
+    work.reverse()
     while work:
-        e = work.popleft()
-        lhs, rhs = e
-        if isinstance(lhs, Var):
-            if isinstance(rhs, Var):
-                add(e.flip())
-            known = bound.setdefault(lhs.var, [])
-            for other in known:
-                add(Equation(rhs, other))  # transitivity through lhs
-            known.append(rhs)
-        elif isinstance(rhs, Var):
-            active.discard(e)
-            add(e.flip())
-        elif lhs.head != rhs.head or len(lhs.args) != len(rhs.args):
-            return FinalConfiguration(
-                frozenset(store), frozenset(active), "clash", e
-            )
-        else:
-            active.discard(e)
-            for a, b in zip(lhs.args, rhs.args):
-                if a != b:  # eager reflexive deletion
-                    add(Equation(a, b))
+        s, t = work.pop()
+        if isinstance(s, App):
+            if isinstance(t, Var):
+                s, t = t, s  # orient
+            elif s.head != t.head or len(s.args) != len(t.args):
+                active = frozenset(_active(classes, reflexive))
+                return FinalConfiguration(
+                    frozenset(), active, "clash", Equation(s, t)
+                )
+            else:
+                work.extend((a, b) for a, b in zip(s.args, t.args) if a is not b)
+                continue
+        c = class_of(s)
+        if isinstance(t, App):
+            if t not in c.sides:
+                work.extend((t, u) for u in c.sides)
+                c.sides[t] = None
+            continue
+        if s is t:
+            reflexive.add(Equation(s, t))
+            continue
+        d = class_of(t)
+        if c is d:
+            continue
+        if len(c.members) < len(d.members):
+            c, d = d, c
+        new = [u for u in d.sides if u not in c.sides]
+        work.extend((u, w) for u in new for w in c.sides)
+        c.sides.update(dict.fromkeys(new))
+        for x in d.members:
+            classes[x.var] = c
+        c.members.extend(d.members)
 
+    active = _active(classes, reflexive)
+    store: set[Equation] = set()
     while True:
         index = StoreIndex.of(store, schema)
         movable = [e for e in active if store_eligible(e, index, schema)]
@@ -136,9 +178,62 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         store.update(movable)
         active.difference_update(movable)
 
-    gate = unify(list(store) + list(active))
-    if isinstance(gate, UnifyFailure):
-        return FinalConfiguration(
-            frozenset(store), frozenset(active), gate.kind, gate.equation
-        )
-    return FinalConfiguration(frozenset(store), frozenset(active), "ok")
+    verdict, offending = "ok", None
+    if not _acyclic(classes):
+        gate = unify(list(store) + list(active))
+        if isinstance(gate, UnifyFailure):
+            verdict, offending = gate.kind, gate.equation
+    return FinalConfiguration(
+        frozenset(store), frozenset(active), verdict, offending
+    )
+
+
+def _active(
+    classes: dict[Variable, _Class], reflexive: set[Equation]
+) -> set[Equation]:
+    """The saturated set the classes stand for: x = y for distinct x, y of
+    one class, x = t for every member x and side t, and the reflexive
+    equations of the input."""
+    out = set(reflexive)
+    for v, c in classes.items():
+        if c.members[0].var != v:
+            continue  # one visit per class, at its first member
+        for x in c.members:
+            out.update([Equation(x, y) for y in c.members if y is not x])
+            out.update([Equation(x, t) for t in c.sides])
+    return out
+
+
+def _acyclic(classes: dict[Variable, _Class]) -> bool:
+    """Does no class reach itself through the classes of the variables in
+    its sides?  A depth-first search; ``on_path`` holds the classes of the
+    current path, ``done`` the classes fully explored."""
+    done: set[_Class] = set()
+    on_path: set[_Class] = set()
+
+    def successors(c: _Class) -> Iterator[_Class]:
+        for t in c.sides:
+            for v in t.vars:
+                d = classes.get(v)
+                if d is not None:
+                    yield d
+
+    for root in classes.values():
+        if root in done:
+            continue
+        on_path.add(root)
+        stack = [(root, successors(root))]
+        while stack:
+            c, succ = stack[-1]
+            for d in succ:
+                if d in on_path:
+                    return False
+                if d not in done:
+                    on_path.add(d)
+                    stack.append((d, successors(d)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(c)
+                done.add(c)
+    return True

@@ -176,11 +176,15 @@ def compute_eq_sub(store: frozenset[Equation], schema: Schema) -> Substitution:
         ):
             pairs.add((e.lhs.var, e.rhs.var))
     # Union the orbits.
-    parent: dict[Variable, Variable] = {}
+    parent: dict[Variable, Variable] = {}  # non-roots only
 
     def find(v: Variable) -> Variable:
-        while parent.get(v, v) != v:
+        path = []
+        while v in parent:
+            path.append(v)
             v = parent[v]
+        for u in path:  # path compression
+            parent[u] = v
         return v
 
     for a, b in pairs:
@@ -226,14 +230,10 @@ def normalized_store(
 
 
 def simplified_store(
-    store: frozenset[Equation], eq_sub: Substitution, schema: Schema
+    normalized: frozenset[Equation], eq_sub: Substitution
 ) -> frozenset[Equation]:
-    out = set()
-    for e in normalized_store(store, schema):
-        e2 = eq_sub.apply_eq(e)
-        if e2.lhs != e2.rhs:
-            out.add(e2)
-    return frozenset(out)
+    """A normalized store with eq_sub applied, less its reflexive equations."""
+    return frozenset(e for e in eq_sub.apply_eqs(normalized) if e.lhs != e.rhs)
 
 
 def check_for_map(
@@ -371,9 +371,12 @@ def u_sch_unif(
         eq_sub = compute_eq_sub(fc.store, schema)
         fr = future_relevant(fc.store, psi, schema)
         irrv = irrelevant_vars(irr, fc.store, schema)
-        simplified = simplified_store(fc.store, eq_sub, schema)
+        normalized = normalized_store(fc.store, schema)
+        simplified = simplified_store(normalized, eq_sub)
         metric = len(inst_vars) - len(eq_sub.domain()) - len(irrv)
-        live = len(eq_vars(eq_sub.apply_eqs(normalized_store(fc.store, schema))))
+        # eq_sub maps each orbit onto a member, and every orbit member
+        # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
+        live = len(eq_vars(normalized) - eq_sub.domain())
         return InstanceRecord(
             i=i,
             store=fc.store,

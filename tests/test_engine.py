@@ -10,7 +10,7 @@ from schemunif.engine import StoreIndex, store_eligible, th_unif
 from schemunif.schema import Schema
 from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
 from schemunif.terms import App, Var, Variable, app, var
-from schemunif.unify import Equation, Substitution
+from schemunif.unify import Equation, Substitution, unify
 
 from .conftest import (
     EX_BASE,
@@ -308,6 +308,86 @@ def test_saturation_matches_reference_engine(rules, eqs):
     else:
         assert fc == want
     assert th_unif(eqs[::-1], schema) == fc
+
+
+# -- the saturation traps of the class-based engine --------------------------
+
+
+def _check_against_reference(eqs, schema):
+    fc = th_unif(eqs, schema)
+    assert fc == reference_th_unif(eqs, schema)
+    return fc.store | fc.active
+
+
+def test_every_pair_of_sides_is_decomposed():
+    # Y1 = Y2 comes only from decomposing f(Y1, W0) = f(Y2, W0); pairing
+    # each side with one representative side would miss it.  In the second
+    # input the side f(g(a), W0) is the first to reach the class.
+    ga, w = app("g", app("a")), var("W", 0)
+    sides = [eq(Y(0), f(ga, w)), eq(Y(0), f(Y(1), w)), eq(Y(0), f(Y(2), w))]
+    via_x = [eq(X(0), f(ga, w)), eq(Y(0), X(0))] + sides[1:]
+    for eqs in (sides, via_x):
+        saturated = _check_against_reference(eqs, ex_schema())
+        assert {eq(Y(1), Y(2)), eq(Y(2), Y(1))} <= saturated
+
+
+def test_equal_sides_do_not_merge_classes():
+    ga = app("g", app("a"))
+    saturated = _check_against_reference(
+        [eq(Y(0), ga), eq(Y(1), ga)], ex_schema()
+    )
+    assert saturated == {eq(Y(0), ga), eq(Y(1), ga)}
+
+
+def test_reflexive_equations_only_from_the_input():
+    schema = ex_schema()
+    saturated = _check_against_reference(
+        [eq(Y(0), Y(1)), eq(Y(1), Y(2)), eq(Y(2), Y(0))], schema
+    )
+    assert len(saturated) == 6
+    assert all(e.lhs is not e.rhs for e in saturated)
+    saturated = _check_against_reference(
+        [eq(Y(0), Y(0)), eq(Y(0), Y(1))], schema
+    )
+    assert saturated == {eq(Y(0), Y(0)), eq(Y(0), Y(1)), eq(Y(1), Y(0))}
+
+
+# Few variables, one binary head and one constant: equations chain variables
+# into large classes, and occurs cycles through the classes are common.
+_orbit_vars = st.builds(var, st.sampled_from(["L", "X", "Y"]), st.integers(0, 1))
+_orbit_terms = st.recursive(
+    _orbit_vars, lambda ts: st.builds(f, ts, ts), max_leaves=3
+)
+_orbit_lists = st.lists(
+    st.one_of(
+        st.builds(Equation, _orbit_vars, _orbit_vars),
+        st.builds(Equation, _orbit_vars, _orbit_terms),
+        st.builds(Equation, _orbit_terms, _orbit_terms),
+        st.builds(Equation, _orbit_vars, st.just(app("a"))),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ENGINE_RULES), _orbit_lists)
+def test_orbit_saturation_matches_reference_engine(rules, eqs):
+    schema = Schema.of(rules)
+    fc = th_unif(eqs, schema)
+    want = reference_th_unif(eqs, schema)
+    assert fc.verdict == want.verdict
+    if fc.verdict != "clash":
+        assert fc == want
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ENGINE_RULES), _orbit_lists)
+def test_acyclicity_shortcut_agrees_with_the_gate(rules, eqs):
+    fc = th_unif(eqs, Schema.of(rules))
+    if fc.verdict != "clash":
+        gate = unify(fc.store | fc.active)
+        assert fc.ok == isinstance(gate, Substitution)
 
 
 BLOW_UP_1 = (
