@@ -15,9 +15,8 @@ side to the variable's class, and ``Var = Var`` merges.  The active set is
 built from the classes once, at the end: x = y for distinct x, y of one
 class, x = t for every member x and side t of its class, and the input's
 reflexive equations.  That is the least fixpoint of the rules, built at
-the cost of its size, O(|C|^2) for a class C, where pairing every new
-right side of a variable with every earlier one cost O(|C|^3).  Three
-rules keep it exactly that set:
+the cost of its size, O(|C|^2) for a class C.  Three rules keep it
+exactly that set:
 
 - every pair of sides that meet in a class is decomposed, not each side
   against one representative: ``Y0 = f(g(a), W0)``, ``Y0 = f(Y1, W0)``

@@ -4,9 +4,7 @@
 eliminate) over an equation set, with a mandatory occurs check, kept in
 triangular form: a variable is bound to a term as it stands, and bindings
 are followed ("walked") when a variable is looked at, never applied to one
-another.  A walk rebinds the variables it passes to the end it reaches, so
-long variable chains are followed once; every variable still resolves to
-the same term.  Over interned terms this keeps the work proportional to the
+another.  Over interned terms this keeps the work proportional to the
 distinct subterms of the input, where a fully applied solved form can be
 exponentially larger than it.  The mgu is resolved once, at the end, with
 one memo shared by all bindings.  Failure is reported as a verdict (Clash
@@ -140,20 +138,11 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
     decomposed: set[tuple[int, int]] = set()
 
     def walk(t: Term) -> Term:
-        """The end of t's chain of bindings; a chain of two or more links
-        is then rebound to that end directly (path compression)."""
-        start, links = t, 0
         while isinstance(t, Var):
             b = bound.get(t.var)
             if b is None:
                 break
             t = b
-            links += 1
-        if links > 1:
-            while start is not t:
-                nxt = bound[start.var]
-                bound[start.var] = t
-                start = nxt
         return t
 
     def occurs(x: Variable, t: Term) -> bool:

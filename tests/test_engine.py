@@ -373,21 +373,15 @@ _orbit_lists = st.lists(
 @settings(max_examples=200)
 @given(st.sampled_from(ENGINE_RULES), _orbit_lists)
 def test_orbit_saturation_matches_reference_engine(rules, eqs):
+    """Without a clash the configuration is the reference's, and the
+    acyclicity check says "ok" exactly when the gate would."""
     schema = Schema.of(rules)
     fc = th_unif(eqs, schema)
     want = reference_th_unif(eqs, schema)
     assert fc.verdict == want.verdict
     if fc.verdict != "clash":
         assert fc == want
-
-
-@settings(max_examples=200)
-@given(st.sampled_from(ENGINE_RULES), _orbit_lists)
-def test_acyclicity_shortcut_agrees_with_the_gate(rules, eqs):
-    fc = th_unif(eqs, Schema.of(rules))
-    if fc.verdict != "clash":
-        gate = unify(fc.store | fc.active)
-        assert fc.ok == isinstance(gate, Substitution)
+        assert fc.ok == isinstance(unify(fc.store | fc.active), Substitution)
 
 
 BLOW_UP_1 = (
