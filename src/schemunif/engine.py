@@ -43,6 +43,18 @@ a term that strictly contains it; without one, binding the classes in
 reverse topological order, each to the image of any of its sides, is a
 unifier.  So an acyclic graph gives "ok" at once, and a cycle runs
 ``unify``, which reports the same cycle equation as before.
+
+The store's variable-equality orbits (x and y with both x = y and y = x
+stored, joined transitively) are read off the classes as well, without a
+pass over the store.  Split a class into its schema variables S and the
+rest N.  Condition 1 of ``store_eligible`` moves z = z' for any two schema
+variables, so S is an orbit.  If the store binds some member x of N,
+condition 2 moves y = x for every y in N, after which it binds y too and
+moves every equation inside N; if it binds none, no x = y inside N is
+stored, as that would bind x.  So N is an orbit exactly when the store
+binds one of its members.  Condition 1 never moves z = x for a schema
+variable z and an x outside the schema, so no pair across S and N is stored
+both ways.  An orbit of one member is dropped.
 """
 
 from __future__ import annotations
@@ -61,6 +73,9 @@ class FinalConfiguration:
     active: frozenset[Equation]
     verdict: str  # "ok" | "clash" | "cycle"
     offending: Optional[Equation] = None
+    # The variable-equality orbits of the store: the classes of variables x,
+    # y with both x = y and y = x stored, each of at least two members.
+    orbits: frozenset[frozenset[Variable]] = frozenset()
 
     @property
     def ok(self) -> bool:
@@ -183,7 +198,11 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         if isinstance(gate, UnifyFailure):
             verdict, offending = gate.kind, gate.equation
     return FinalConfiguration(
-        frozenset(store), frozenset(active), verdict, offending
+        frozenset(store),
+        frozenset(active),
+        verdict,
+        offending,
+        frozenset(_orbits(classes, index.lhs_vars, schema)),
     )
 
 
@@ -201,6 +220,24 @@ def _active(
             out.update([Equation(x, y) for y in c.members if y is not x])
             out.update([Equation(x, t) for t in c.sides])
     return out
+
+
+def _orbits(
+    classes: dict[Variable, _Class], bound: frozenset[Variable], schema: Schema
+) -> Iterator[frozenset[Variable]]:
+    """The orbits of the final store, read off the classes: the schema
+    variables of a class, and its other variables if the store binds one
+    of them; each only if it has at least two members."""
+    for v, c in classes.items():
+        if c.members[0].var != v:
+            continue  # one visit per class, at its first member
+        members = frozenset(x.var for x in c.members)
+        schematic = frozenset(x for x in members if schema.contains(x))
+        plain = members - schematic
+        if len(schematic) > 1:
+            yield schematic
+        if len(plain) > 1 and not bound.isdisjoint(plain):
+            yield plain
 
 
 def _acyclic(classes: dict[Variable, _Class]) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .solver import SchematicProblem
-from .unify import Substitution, UnifyFailure, eq_vars, unify
+from .unify import UnifyFailure, eq_vars, unify
 
 DEFAULT_N = 25
 DEFAULT_NODE_CAP = 200_000
@@ -50,9 +50,7 @@ def bounded_check(
     for i in range(n + 1):
         if i > 0:
             # One more unfolding round on top of the previous instance.
-            eqs = Substitution(
-                {v: schema.binding(v) for v in eq_vars(eqs) if schema.contains(v)}
-            ).apply_eqs(eqs)
+            eqs = schema.step(eq_vars(eqs)).apply_eqs(eqs)
         # Tree sizes, although the instance is built as a DAG.
         nodes = sum(e.lhs.size + e.rhs.size for e in eqs)
         if nodes > node_cap:

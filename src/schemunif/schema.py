@@ -3,7 +3,7 @@
 A schema finitely presents the infinite binding family
 ``{X[j] -> shift(j, base(X)) | j >= 0}`` by storing one base term per domain
 symbol at shift 0.  This module covers classification (not-simple / simple /
-uniform / primitive), restriction to a term (t-substitution), iterated
+uniform / primitive), one unfolding step of a set of variables, iterated
 instantiation, reachability of a variable by unfolding, folding of
 unfoldings back to schema variables (normalization), and a
 uniform-to-primitive rewrite of the schema alone, which the solver does not
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .terms import App, Term, Var, Variable, shift, var, variables
-from .unify import Equation, Substitution
+from .unify import Equation, Substitution, eq_vars
 
 
 class SchemaClass(enum.Enum):
@@ -131,22 +131,21 @@ class Schema:
             return SchemaClass.UNIFORM
         return SchemaClass.PRIMITIVE
 
-    def t_substitution(self, t: Term) -> Substitution:
-        """Restriction of the schema's binding family to the variables of t."""
-        return Substitution(
-            {v: self.binding(v) for v in variables(t) if self.contains(v)}
-        )
+    def step(self, vs: Iterable[Variable]) -> Substitution:
+        """One unfolding of every schema variable among vs."""
+        return Substitution({v: self.binding(v) for v in vs if self.contains(v)})
 
     def instance(self, t: Term, i: int) -> Term:
         """The i-th instance: i rounds of unfolding every schema variable."""
         for _ in range(i):
-            t = self.t_substitution(t).apply(t)
+            t = self.step(t.vars).apply(t)
         return t
 
     def instance_eqs(self, eqs: Iterable[Equation], i: int) -> frozenset[Equation]:
-        return frozenset(
-            Equation(self.instance(e.lhs, i), self.instance(e.rhs, i)) for e in eqs
-        )
+        out = frozenset(eqs)
+        for _ in range(i):
+            out = self.step(eq_vars(out)).apply_eqs(out)
+        return out
 
     # -- normalization ------------------------------------------------------
 

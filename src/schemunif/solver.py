@@ -46,9 +46,7 @@ class InstanceRecord:
 
     i: int
     store: frozenset[Equation]
-    active: frozenset[Equation]
     irr: frozenset[Equation]
-    irr_vars: frozenset[Variable]
     step_sub: Substitution
     eq_sub: Substitution
     fr: frozenset[Variable]
@@ -64,11 +62,6 @@ class CycleFound:
     i: int
     j: int
     mapping: dict[Variable, Variable]
-    store_i: frozenset[Equation]
-    eq_sub_i: Substitution
-    store_j: frozenset[Equation]
-    eq_sub_j: Substitution
-    irr_i: frozenset[Equation]
 
 
 @dataclass(frozen=True)
@@ -101,10 +94,7 @@ class SolverRun:
 
 def step_substitution(store: frozenset[Equation], schema: Schema) -> Substitution:
     """One-step unfolding of every schema variable occurring in the store."""
-    bindings = {
-        v: schema.binding(v) for v in eq_vars(store) if schema.contains(v)
-    }
-    return Substitution(bindings)
+    return schema.step(eq_vars(store))
 
 
 def irrelevant_set(
@@ -134,72 +124,35 @@ def cycle_check(
 ) -> Optional[UnifyFailure]:
     """Detect occurs cycles hidden in the irrelevant set by unfolding its
     schema variables until the index gap between binding left sides and the
-    deepest recursion variable is covered, then unifying."""
-
-    def rhs_schema_vars(eqs: frozenset[Equation]) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for e in eqs:
-            out |= {v for v in variables(e.rhs) if schema.contains(v)}
-        return frozenset(out)
-
+    deepest recursion variable is covered, then unifying.  Every left side
+    is a variable outside the schema, so the schema variables unfolded are
+    those of the right sides."""
     if not irr:
         return None
-    recursion = rhs_schema_vars(irr)
+    recursion = [v for v in eq_vars(irr) if schema.contains(v)]
     work = irr
     if recursion:
-        i_max = max(
-            e.lhs.var.index for e in irr if isinstance(e.lhs, Var)
-        )
+        i_max = max(e.lhs.var.index for e in irr)
         r_min = min(v.index for v in recursion)
         gap = max(i_max - r_min + 1, 0)
         for _ in range(gap):
-            current = rhs_schema_vars(work)
-            if not current:
+            sub = schema.step(eq_vars(work))
+            if not sub:
                 break
-            sub = Substitution({v: schema.binding(v) for v in current})
             work = sub.apply_eqs(work)
     result = unify(work)
     return result if isinstance(result, UnifyFailure) else None
 
 
-def compute_eq_sub(store: frozenset[Equation], schema: Schema) -> Substitution:
-    """Collapse each variable-equality orbit (x = y and y = x both stored)
+def compute_eq_sub(orbits: frozenset[frozenset[Variable]]) -> Substitution:
+    """Collapse each variable-equality orbit (``FinalConfiguration.orbits``)
     onto its maximal-index member; index ties break toward the
     lexicographically larger symbol."""
-    pairs: set[tuple[Variable, Variable]] = set()
-    store_set = set(store)
-    for e in store:
-        if (
-            isinstance(e.lhs, Var)
-            and isinstance(e.rhs, Var)
-            and e.flip() in store_set
-        ):
-            pairs.add((e.lhs.var, e.rhs.var))
-    # Union the orbits.
-    parent: dict[Variable, Variable] = {}  # non-roots only
-
-    def find(v: Variable) -> Variable:
-        path = []
-        while v in parent:
-            path.append(v)
-            v = parent[v]
-        for u in path:  # path compression
-            parent[u] = v
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    classes: dict[Variable, set[Variable]] = {}
-    for v in {x for p in pairs for x in p}:
-        classes.setdefault(find(v), set()).add(v)
     bindings: dict[Variable, Term] = {}
-    for members in classes.values():
-        rep = max(members, key=lambda v: (v.index, v.symbol))
+    for members in orbits:
+        rep = Var(max(members, key=lambda v: (v.index, v.symbol)))
         for v in members:
-            if v != rep:
-                bindings[v] = Var(rep)
+            bindings[v] = rep
     return Substitution(bindings)
 
 
@@ -368,7 +321,7 @@ def u_sch_unif(
         cap = _default_cap(problem, stab)
 
     def make_record(i: int, fc: FinalConfiguration) -> InstanceRecord:
-        eq_sub = compute_eq_sub(fc.store, schema)
+        eq_sub = compute_eq_sub(fc.orbits)
         fr = future_relevant(fc.store, psi, schema)
         irrv = irrelevant_vars(irr, fc.store, schema)
         normalized = normalized_store(fc.store, schema)
@@ -380,9 +333,7 @@ def u_sch_unif(
         return InstanceRecord(
             i=i,
             store=fc.store,
-            active=fc.active,
             irr=irr,
-            irr_vars=irrv,
             step_sub=psi,
             eq_sub=eq_sub,
             fr=fr,
@@ -430,18 +381,5 @@ def u_sch_unif(
                     rec.fr, rec.simplified, other.fr, other.simplified
                 )
                 if mu is not None and var_disjoint(rec, other):
-                    return SolverRun(
-                        CycleFound(
-                            i=i,
-                            j=j,
-                            mapping=mu,
-                            store_i=rec.store,
-                            eq_sub_i=rec.eq_sub,
-                            store_j=other.store,
-                            eq_sub_j=other.eq_sub,
-                            irr_i=rec.irr,
-                        ),
-                        records,
-                        stab,
-                    )
+                    return SolverRun(CycleFound(i, j, mu), records, stab)
     return SolverRun(Exhausted(cap), records, stab)

@@ -84,10 +84,6 @@ class Substitution:
     def apply(self, t: Term) -> Term:
         return self._applier()(t)
 
-    def apply_eq(self, e: Equation) -> Equation:
-        go = self._applier()
-        return Equation(go(e.lhs), go(e.rhs))
-
     def apply_eqs(self, eqs: Iterable[Equation]) -> frozenset[Equation]:
         go = self._applier()
         return frozenset(Equation(go(e.lhs), go(e.rhs)) for e in eqs)

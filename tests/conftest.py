@@ -435,8 +435,39 @@ def reference_th_unif(eqs, schema):
             active.discard(e)
 
     gate = unify(list(store) + list(active))
+    verdict, offending = "ok", None
     if isinstance(gate, UnifyFailure):
-        return FinalConfiguration(
-            frozenset(store), frozenset(active), gate.kind, gate.equation
-        )
-    return FinalConfiguration(frozenset(store), frozenset(active), "ok")
+        verdict, offending = gate.kind, gate.equation
+    return FinalConfiguration(
+        frozenset(store),
+        frozenset(active),
+        verdict,
+        offending,
+        reference_orbits(store),
+    )
+
+
+def reference_orbits(store):
+    """The solver's earlier orbit scan, kept as the reference: the pairs
+    x = y stored both ways, joined by a union-find; the classes of at least
+    two members."""
+    pairs = [
+        (e.lhs.var, e.rhs.var)
+        for e in store
+        if isinstance(e.lhs, Var) and isinstance(e.rhs, Var) and e.flip() in store
+    ]
+    parent = {}  # non-roots only
+
+    def find(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes = {}
+    for v in {x for p in pairs for x in p}:
+        classes.setdefault(find(v), set()).add(v)
+    return frozenset(frozenset(c) for c in classes.values() if len(c) > 1)

@@ -111,7 +111,7 @@ def test_print_parse_round_trip():
 
 
 def test_outcome_lines_and_exit_codes():
-    cycle = CycleFound(15, 5, {}, frozenset(), None, frozenset(), None, frozenset())
+    cycle = CycleFound(15, 5, {})
     assert outcome_line(cycle) == "cycle i=15 j=5"
     assert exit_code(cycle) == 0
     nu = NotUnifiable(3, "clash")

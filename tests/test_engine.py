@@ -23,6 +23,7 @@ from .conftest import (
     equations,
     f,
     h,
+    reference_orbits,
     reference_reachable_by_unfolding,
     reference_store_eligible,
     reference_th_unif,
@@ -352,6 +353,41 @@ def test_reflexive_equations_only_from_the_input():
     assert saturated == {eq(Y(0), Y(0)), eq(Y(0), Y(1)), eq(Y(1), Y(0))}
 
 
+# -- orbits read off the classes ----------------------------------------------
+
+
+def _orbits_of(eqs):
+    fc = th_unif(eqs, ex_schema())
+    assert fc.ok and fc.orbits == reference_orbits(fc.store)
+    return fc
+
+
+def test_schema_variables_of_a_class_are_an_orbit():
+    # Condition 1 stores z = z' for any two schema variables, bound or not.
+    fc = _orbits_of([eq(L(1), L(2)), eq(L(2), L(3))])
+    assert fc.orbits == {frozenset([L(1).var, L(2).var, L(3).var])}
+
+
+def test_other_variables_are_an_orbit_once_the_store_binds_one():
+    # L[1]'s binding puts X[3] in the store; nothing ties Z[3] or Z[5].
+    fc = _orbits_of([eq(X(3), X(5)), eq(Z(3), Z(5)), eq(L(1), h(X(3), X(0)))])
+    assert fc.orbits == {frozenset([X(3).var, X(5).var])}
+    assert eq(Z(3), Z(5)) in fc.active
+
+
+def test_no_orbit_mixes_schema_and_other_variables():
+    # One class of L[1], L[2], X[3] and X[5]: X[3] = L[1] is stored, but
+    # L[1] = X[3] is not, so the class splits into two orbits.
+    fc = _orbits_of(
+        [eq(L(1), L(2)), eq(L(2), X(3)), eq(X(3), X(5)), eq(L(1), h(X(0), X(0)))]
+    )
+    assert eq(X(3), L(1)) in fc.store and eq(L(1), X(3)) in fc.active
+    assert fc.orbits == {
+        frozenset([L(1).var, L(2).var]),
+        frozenset([X(3).var, X(5).var]),
+    }
+
+
 # Few variables, one binary head and one constant: equations chain variables
 # into large classes, and occurs cycles through the classes are common.
 _orbit_vars = st.builds(var, st.sampled_from(["L", "X", "Y"]), st.integers(0, 1))
@@ -412,7 +448,7 @@ def test_whole_runs_match_reference_engine(monkeypatch):
 
 
 def _record_fields(run):
-    return [(r.store, r.active, r.irr, r.eq_sub, r.metric) for r in run.records]
+    return [(r.store, r.irr, r.eq_sub, r.metric) for r in run.records]
 
 
 # -- seeded differential suite ----------------------------------------------

@@ -81,10 +81,10 @@ def test_classify_nesting_is_monotone():
     assert order.index(schema.classify()) >= order.index(SchemaClass.UNIFORM)
 
 
-def test_t_substitution_restricts_to_term_variables():
+def test_step_unfolds_only_schema_variables():
     schema = Schema.of({"L": EX_BASE})
     t = h(L(2), Y(0))
-    sub = schema.t_substitution(t)
+    sub = schema.step(t.vars)
     assert sub.domain() == {L(2).var}
     assert sub.apply(L(2)) == shift(2, EX_BASE)
 
