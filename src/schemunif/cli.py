@@ -470,15 +470,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = bounded_check(
             parsed.problem, n=args.oracle, node_cap=args.oracle_node_cap
         )
-        solver_ok = isinstance(run.outcome, CycleFound)
-        if isinstance(run.outcome, (CycleFound, NotUnifiable)):
-            if solver_ok != report.ok:
-                print(
-                    "warning: oracle disagreement:"
-                    f" solver={verdict_name(run.outcome)}"
-                    f" oracle_first_failure={report.first_failure}",
-                    file=sys.stderr,
-                )
+        # A failing instance the oracle never reached is no disagreement.
+        if isinstance(run.outcome, CycleFound):
+            disagree = not report.ok
+        elif isinstance(run.outcome, NotUnifiable):
+            disagree = report.ok and report.checked_up_to >= run.outcome.instance
+        else:
+            disagree = False
+        if disagree:
+            print(
+                "warning: oracle disagreement:"
+                f" solver={verdict_name(run.outcome)}"
+                f" oracle_first_failure={report.first_failure}",
+                file=sys.stderr,
+            )
 
     expected = parsed.directives.get("expect")
     if expected is not None and expected != verdict_name(run.outcome):

@@ -41,8 +41,9 @@ reaches itself in the graph from each class to the classes of the
 variables in its sides.  Along such a cycle a unifier would map a class to
 a term that strictly contains it; without one, binding the classes in
 reverse topological order, each to the image of any of its sides, is a
-unifier.  So an acyclic graph gives "ok" at once, and a cycle runs
-``unify``, which reports the same cycle equation as before.
+unifier.  ``graphlib.TopologicalSorter`` finds such a cycle, a class whose
+side holds one of its own members included.  So an acyclic graph gives
+"ok" at once, and a cycle runs ``unify``, which reports the cycle equation.
 
 The store's variable-equality orbits (x and y with both x = y and y = x
 stored, joined transitively) are read off the classes as well, without a
@@ -59,6 +60,7 @@ both ways.  An orbit of one member is dropped.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -242,34 +244,15 @@ def _orbits(
 
 def _acyclic(classes: dict[Variable, _Class]) -> bool:
     """Does no class reach itself through the classes of the variables in
-    its sides?  A depth-first search; ``on_path`` holds the classes of the
-    current path, ``done`` the classes fully explored."""
-    done: set[_Class] = set()
-    on_path: set[_Class] = set()
-
-    def successors(c: _Class) -> Iterator[_Class]:
-        for t in c.sides:
-            for v in t.vars:
-                d = classes.get(v)
-                if d is not None:
-                    yield d
-
-    for root in classes.values():
-        if root in done:
-            continue
-        on_path.add(root)
-        stack = [(root, successors(root))]
-        while stack:
-            c, succ = stack[-1]
-            for d in succ:
-                if d in on_path:
-                    return False
-                if d not in done:
-                    on_path.add(d)
-                    stack.append((d, successors(d)))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(c)
-                done.add(c)
+    its sides?  ``graphlib`` orders the graph from each class to those
+    classes, or raises ``CycleError``; a self-loop is a cycle."""
+    graph = {
+        c: {classes[v] for t in c.sides for v in t.vars if v in classes}
+        for c in dict.fromkeys(classes.values())
+        if c.sides
+    }
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return False
     return True

@@ -50,7 +50,7 @@ def bounded_check(
     for i in range(n + 1):
         if i > 0:
             # One more unfolding round on top of the previous instance.
-            eqs = schema.step(eq_vars(eqs)).apply_eqs(eqs)
+            eqs = schema.instance_eqs(eqs, 1)
         # Tree sizes, although the instance is built as a DAG.
         nodes = sum(e.lhs.size + e.rhs.size for e in eqs)
         if nodes > node_cap:

@@ -4,10 +4,11 @@ A schema finitely presents the infinite binding family
 ``{X[j] -> shift(j, base(X)) | j >= 0}`` by storing one base term per domain
 symbol at shift 0.  This module covers classification (not-simple / simple /
 uniform / primitive), one unfolding step of a set of variables, iterated
-instantiation, reachability of a variable by unfolding, folding of
-unfoldings back to schema variables (normalization), and a
-uniform-to-primitive rewrite of the schema alone, which the solver does not
-use.
+instantiation (it stops once a step has nothing left to unfold),
+reachability of a variable by unfolding, folding of unfoldings back to
+schema variables (normalization, one identity test per rule, as terms are
+interned), and a uniform-to-primitive rewrite of the schema alone, which
+the solver does not use.
 
 A ``Schema`` builds its symbol -> base table, its domain and its recursion
 offsets once, when it is made, so lookups are dict and set operations.  It
@@ -21,7 +22,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .terms import App, Term, Var, Variable, shift, var, variables
 from .unify import Equation, Substitution, eq_vars
@@ -142,9 +143,13 @@ class Schema:
         return t
 
     def instance_eqs(self, eqs: Iterable[Equation], i: int) -> frozenset[Equation]:
+        """The i-th instance; it stops once nothing is left to unfold."""
         out = frozenset(eqs)
         for _ in range(i):
-            out = self.step(eq_vars(out)).apply_eqs(out)
+            sub = self.step(eq_vars(out))
+            if not sub:
+                break
+            out = sub.apply_eqs(out)
         return out
 
     # -- normalization ------------------------------------------------------
@@ -152,43 +157,23 @@ class Schema:
     def normalize(self, t: Term) -> Term:
         """Fold every maximal subterm equal to an unfolding of some L[d]
         back to L[d].  Children are folded first, so a k-fold unfolding
-        collapses one layer at a time from the inside out."""
+        collapses one layer at a time from the inside out.  A rebuilt node
+        r folds to L[d] when ``shift(d, base(L)) is r``; one variable of the
+        base fixes d, as the smallest index of its symbol in r less the one
+        in the base.  A ground base never folds; rules are tried in order."""
         if isinstance(t, Var):
             return t
-        folded = App(t.head, tuple(self.normalize(a) for a in t.args))
-        hit = self._match_one_step(folded)
-        return hit if hit is not None else folded
-
-    def _match_one_step(self, r: Term) -> Optional[Term]:
-        # r folds to L[d] iff r == shift(d, base(L)) for some rule and d >= 0.
+        r = App(t.head, tuple(self.normalize(a) for a in t.args))
         for symbol, base in self.rules:
-            d = self._match_shift(base, r)
-            if d is not None:
+            if not base.vars:
+                continue
+            v = min(base.vars)  # the smallest index of its symbol in base
+            d = min(
+                (w.index for w in r.vars if w.symbol == v.symbol), default=-1
+            ) - v.index
+            if d >= 0 and shift(d, base) is r:
                 return var(symbol, d)
-        return None
-
-    @staticmethod
-    def _match_shift(pattern: Term, r: Term) -> Optional[int]:
-        d: Optional[int] = None
-
-        def go(p: Term, s: Term) -> bool:
-            nonlocal d
-            if isinstance(p, Var):
-                if not isinstance(s, Var) or s.var.symbol != p.var.symbol:
-                    return False
-                delta = s.var.index - p.var.index
-                if delta < 0 or (d is not None and delta != d):
-                    return False
-                d = delta
-                return True
-            return (
-                isinstance(s, App)
-                and s.head == p.head
-                and len(s.args) == len(p.args)
-                and all(go(a, b) for a, b in zip(p.args, s.args))
-            )
-
-        return d if go(pattern, r) and d is not None else None
+        return r
 
     def __str__(self) -> str:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)

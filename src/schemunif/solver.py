@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .engine import FinalConfiguration, th_unif
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import Schema, SchemaClass, make_primitive  # noqa: F401
-from .terms import Term, Var, Variable, depth, variables
+from .terms import Term, Var, Variable, variables
 from .unify import (
     Equation,
     Substitution,
@@ -129,18 +129,12 @@ def cycle_check(
     those of the right sides."""
     if not irr:
         return None
-    recursion = [v for v in eq_vars(irr) if schema.contains(v)]
-    work = irr
-    if recursion:
-        i_max = max(e.lhs.var.index for e in irr)
-        r_min = min(v.index for v in recursion)
-        gap = max(i_max - r_min + 1, 0)
-        for _ in range(gap):
-            sub = schema.step(eq_vars(work))
-            if not sub:
-                break
-            work = sub.apply_eqs(work)
-    result = unify(work)
+    i_max = max(e.lhs.var.index for e in irr)
+    # With no schema variable the gap is 0: there is nothing to unfold.
+    r_min = min(
+        (v.index for v in eq_vars(irr) if schema.contains(v)), default=i_max + 1
+    )
+    result = unify(schema.instance_eqs(irr, i_max - r_min + 1))
     return result if isinstance(result, UnifyFailure) else None
 
 
@@ -268,14 +262,9 @@ def stab_index(problem: SchematicProblem, psi0: Substitution) -> int:
     """Max of the largest variable index and the largest term depth over the
     once-unfolded instance 0."""
     eqs = psi0.apply_eqs(problem.equations)
-    max_idx = 0
-    max_dep = 0
-    for e in eqs:
-        for t in (e.lhs, e.rhs):
-            max_dep = max(max_dep, depth(t))
-            for v in variables(t):
-                max_idx = max(max_idx, v.index)
-    return max(max_idx, max_dep)
+    indices = [v.index for v in eq_vars(eqs)]
+    depths = [max(e.lhs.depth, e.rhs.depth) for e in eqs]
+    return max(indices + depths, default=0)
 
 
 def _default_cap(problem: SchematicProblem, stab: int) -> int:
@@ -302,13 +291,6 @@ def u_sch_unif(
     # Variable set of the directly instantiated problem, maintained
     # incrementally (the terms themselves grow too fast to materialize).
     inst_vars = eq_vars(problem.equations)
-
-    def advance_inst_vars(vs: frozenset[Variable]) -> frozenset[Variable]:
-        unfolded = {v for v in vs if schema.contains(v)}
-        out = set(vs) - unfolded
-        for v in unfolded:
-            out |= variables(schema.binding(v))
-        return frozenset(out)
 
     fc = th_unif(problem.equations, schema)
     if not fc.ok:
@@ -347,7 +329,10 @@ def u_sch_unif(
     prev_store = fc.store
     for i in range(1, cap + 1):
         prev_psi = psi
-        inst_vars = advance_inst_vars(inst_vars)
+        unfold = schema.step(inst_vars)
+        inst_vars = (inst_vars - unfold.domain()).union(
+            *(t.vars for t in unfold.mapping.values())
+        )
         fc = th_unif(prev_psi.apply_eqs(prev_store), schema)
         if not fc.ok:
             return SolverRun(

@@ -277,6 +277,48 @@ def reference_unify(eqs):
 
 # -- reference store eligibility ---------------------------------------------
 #
+# The schema's earlier normalization, kept as the reference: it matches each
+# base against a rebuilt node structurally, collecting the one index offset.
+
+
+def _match_shift(pattern, r):
+    """The d >= 0 with r == shift(d, pattern), or None (also for a ground
+    pattern)."""
+    d = None
+
+    def go(p, s):
+        nonlocal d
+        if isinstance(p, Var):
+            if not isinstance(s, Var) or s.var.symbol != p.var.symbol:
+                return False
+            delta = s.var.index - p.var.index
+            if delta < 0 or (d is not None and delta != d):
+                return False
+            d = delta
+            return True
+        return (
+            isinstance(s, App)
+            and s.head == p.head
+            and len(s.args) == len(p.args)
+            and all(go(a, b) for a, b in zip(p.args, s.args))
+        )
+
+    return d if go(pattern, r) and d is not None else None
+
+
+def reference_normalize(t, schema):
+    """Fold every maximal subterm that is some base shifted by d >= 0 back
+    to that rule's variable at index d, children first, rules in order."""
+    if isinstance(t, Var):
+        return t
+    folded = App(t.head, tuple(reference_normalize(a, schema) for a in t.args))
+    for symbol, base in schema.rules:
+        d = _match_shift(base, folded)
+        if d is not None:
+            return var(symbol, d)
+    return folded
+
+
 # The engine's earlier per-candidate eligibility, kept as the reference: it
 # rescans the store for every candidate and walks the schema for every store
 # schema variable, with no index and no memo.

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from schemunif import cli
 from schemunif.cli import (
     MAX_TERM_DEPTH,
     ParseError,
@@ -20,6 +21,7 @@ from schemunif.solver import (
     CycleFound,
     Exhausted,
     NotUnifiable,
+    SolverRun,
     StabilityViolation,
     u_sch_unif,
 )
@@ -279,3 +281,34 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert f"nested deeper than {MAX_TERM_DEPTH}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("late_clash.prob", ["--oracle", "1"]),  # the verdict is at i=2
+        ("occurs_direct.prob", ["--oracle", "8", "--oracle-node-cap", "3"]),
+    ],
+)
+def test_oracle_that_never_reached_the_failure_does_not_warn(
+    name, args, capsys
+):
+    code = main([os.path.join(PROBLEM_DIR, name)] + args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("golden.prob", NotUnifiable(2, "clash")),
+        ("const_clash.prob", CycleFound(3, 1, {})),
+    ],
+)
+def test_oracle_warns_on_a_wrong_verdict(name, wrong, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "u_sch_unif", lambda problem, cap=None: SolverRun(wrong, [])
+    )
+    main([os.path.join(PROBLEM_DIR, name), "--oracle", "3"])
+    assert "warning: oracle disagreement" in capsys.readouterr().err

@@ -353,6 +353,38 @@ def test_reflexive_equations_only_from_the_input():
     assert saturated == {eq(Y(0), Y(0)), eq(Y(0), Y(1)), eq(Y(1), Y(0))}
 
 
+# -- the class-graph cycle test ----------------------------------------------
+
+
+def _gate_check(eqs):
+    """th_unif is "ok" exactly when eqs unify, and agrees with the
+    reference engine in full."""
+    fc = th_unif(eqs, ex_schema())
+    assert fc.ok == unifiable(eqs)
+    assert fc == reference_th_unif(eqs, ex_schema())
+    return fc
+
+
+def test_class_whose_side_holds_its_own_member_is_a_cycle():
+    fc = _gate_check([eq(Y(0), f(Y(1), app("a"))), eq(Y(1), Y(0))])
+    assert fc.verdict == "cycle"
+
+
+def test_cycle_closed_only_by_a_later_merge():
+    # Two classes, each with a side over the other's variable; the last
+    # Var = Var equation (in worklist order) merges Y3 into Y0's class.
+    chain = [eq(Y(0), app("g", Y(1))), eq(Y(1), Y(2)), eq(Y(2), app("g", Y(3)))]
+    assert _gate_check(chain).ok
+    assert _gate_check(chain + [eq(Y(3), Y(0))]).verdict == "cycle"
+
+
+def test_acyclic_diamond_is_ok():
+    # Y3 is reached along two paths; meeting it twice is no cycle.
+    y3 = app("g", Y(3))
+    fc = _gate_check([eq(L(0), f(Y(1), Y(2))), eq(Y(1), y3), eq(Y(2), y3)])
+    assert fc.ok
+
+
 # -- orbits read off the classes ----------------------------------------------
 
 

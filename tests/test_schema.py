@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif.schema import Schema, SchemaClass, SchemaError, make_primitive
-from schemunif.terms import shift, var, variables
+from schemunif.terms import app, shift, var, variables
+from schemunif.unify import Substitution
 
 from .conftest import (
     EX_BASE,
@@ -18,6 +19,7 @@ from .conftest import (
     f,
     h,
     primitive_schemas,
+    reference_normalize,
 )
 
 
@@ -136,6 +138,62 @@ def test_normalize_folds_inside_context():
 def test_normalize_inverts_instance(schema, d, k):
     t = schema.instance(L(d), k)
     assert schema.normalize(t) == L(d)
+
+
+def M(i):
+    return var("M", i)
+
+
+NORMALIZE_SCHEMAS = [
+    Schema.of({"L": f(f(X(1), X(0)), L(0))}),  # recursion offset 0
+    Schema.of({"L": f(X(0), f(X(2), L(2)))}),  # offset 2
+    Schema.of({"L": h(X(1), app("g", Y(0)), L(3))}),  # offset 3
+    Schema.of({"K": f(app("a"), app("b")), "L": f(X(0), L(1))}),  # ground
+    Schema.of({"V": X(1), "L": f(var("V", 0), L(2))}),  # a variable base
+    Schema.of({"L": f(X(0), M(1)), "M": f(Y(2), L(1))}),  # cross-rule
+    Schema.of({"L": f(X(1), Y(0)), "M": f(X(1), Y(0))}),  # rule order
+]
+
+
+@st.composite
+def unfolded_terms(draw):
+    """A schema, and a term with shifted bases (some of them unfolded
+    further, or with a variable replaced by a subterm) at random depths."""
+    schema = draw(st.sampled_from(NORMALIZE_SCHEMAS))
+    rules = st.sampled_from(schema.rules)
+    offsets = st.integers(0, 4)
+
+    def unfolding(rule, d, k):
+        return schema.instance(shift(d, rule[1]), k)
+
+    def replace_one(rule, d, child, pick):
+        t = shift(d, rule[1])
+        vs = sorted(t.vars)
+        if not vs:
+            return t
+        return Substitution({vs[pick % len(vs)]: child}).apply(t)
+
+    leaves = st.one_of(
+        st.builds(var, st.sampled_from(["X", "Y", "L", "M"]), st.integers(0, 6)),
+        st.just(app("a")),
+        st.builds(unfolding, rules, offsets, st.integers(0, 2)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(f, children, children),
+            st.builds(lambda t: app("g", t), children),
+            st.builds(replace_one, rules, offsets, children, st.integers(0, 5)),
+        )
+
+    return schema, draw(st.recursive(leaves, extend, max_leaves=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unfolded_terms())
+def test_normalize_matches_reference(case):
+    schema, t = case
+    assert schema.normalize(t) is reference_normalize(t, schema)
 
 
 # -- uniform -> primitive rewrite -------------------------------------------
