@@ -11,8 +11,8 @@ member variables and its distinct ``App`` right sides (its sides); a
 worklist, seeded once in ``Equation.key`` order, holds the pairs of terms
 still to equate: ``App = Var`` is oriented, ``App = App`` is decomposed
 (identical argument pairs skipped) or is the clash, ``Var = App`` adds a
-side to the variable's class, and ``Var = Var`` merges.  The active set is
-built from the classes once, at the end: x = y for distinct x, y of one
+side to the variable's class, and ``Var = Var`` merges.  The saturated set
+is read off the classes once, at the end: x = y for distinct x, y of one
 class, x = t for every member x and side t of its class, and the input's
 reflexive equations.  That is the least fixpoint of the rules, built at
 the cost of its size, O(|C|^2) for a class C.  Three rules keep it
@@ -25,13 +25,18 @@ exactly that set:
   ``Y1 = g(a)`` do not derive ``Y0 = Y1``;
 - a reflexive ``X = X`` is kept when the input has it and never derived.
 
-Bindings move in rounds: each round judges every active equation against
-the store as it stood at the start of the round, then moves the whole
-eligible batch, so the order of the candidates does not matter.  A
-``StoreIndex`` of that store (its bound variables, its right-side variables
-and its schema variables) is built once per round, so judging one candidate
-takes set lookups and the schema's memoized reachability, not a pass over
-the store.
+Bindings move into the store a class at a time.  Condition 1 stores, as
+a class is read, every binding of its schema members but those to its
+plain (non-schema) members.  If that binds a member z, condition 2 moves
+x = z for every plain member x, and then every other binding of x, since
+x occurs in the store.  Otherwise a plain member's bindings move once it
+occurs in the store or is reachable from a schema variable of the store
+(conditions 2 and 3), and its x = y then put the others in the store.  So
+a class's plain members move together: each round judges those of the
+waiting classes against a ``StoreIndex`` of the store at the start of the
+round and moves every class with an eligible member.  Eligibility only
+grows with the store, so this reaches the store that judging each
+equation reaches: the least one closed under the conditions.
 
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
@@ -46,16 +51,9 @@ side holds one of its own members included.  So an acyclic graph gives
 "ok" at once, and a cycle runs ``unify``, which reports the cycle equation.
 
 The store's variable-equality orbits (x and y with both x = y and y = x
-stored, joined transitively) are read off the classes as well, without a
-pass over the store.  Split a class into its schema variables S and the
-rest N.  Condition 1 of ``store_eligible`` moves z = z' for any two schema
-variables, so S is an orbit.  If the store binds some member x of N,
-condition 2 moves y = x for every y in N, after which it binds y too and
-moves every equation inside N; if it binds none, no x = y inside N is
-stored, as that would bind x.  So N is an orbit exactly when the store
-binds one of its members.  Condition 1 never moves z = x for a schema
-variable z and an x outside the schema, so no pair across S and N is stored
-both ways.  An orbit of one member is dropped.
+stored, joined transitively) follow: a class's schema members, and its
+plain members if the class moved, as z = x is never stored for a schema
+variable z and a plain x.  An orbit of one member is dropped.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .schema import Schema
 from .terms import App, Var, Variable
-from .unify import Equation, UnifyFailure, sorted_eqs, unify
+from .unify import Equation, UnifyFailure, eq_vars, sorted_eqs, unify
 
 
 @dataclass(frozen=True)
@@ -87,43 +85,23 @@ class FinalConfiguration:
 class StoreIndex(NamedTuple):
     """What store eligibility reads of a store."""
 
-    lhs_vars: frozenset[Variable]  # the variables the store binds
-    rhs_vars: frozenset[Variable]  # the variables of its right sides
+    vars: frozenset[Variable]  # the variables of the store
     schema_vars: frozenset[Variable]  # its schema variables
 
     @staticmethod
     def of(store: Iterable[Equation], schema: Schema) -> "StoreIndex":
-        lhs: set[Variable] = set()
-        rhs: set[Variable] = set()
-        for e in store:
-            assert isinstance(e.lhs, Var)
-            lhs.add(e.lhs.var)
-            rhs |= e.rhs.vars
-        return StoreIndex(
-            frozenset(lhs),
-            frozenset(rhs),
-            frozenset(v for v in lhs | rhs if schema.contains(v)),
-        )
+        vs = eq_vars(store)
+        return StoreIndex(vs, frozenset(v for v in vs if schema.contains(v)))
 
 
-def store_eligible(eq: Equation, index: StoreIndex, schema: Schema) -> bool:
-    """May eq move into the store that index describes?"""
-    if not isinstance(eq.lhs, Var):
-        return False
-    y = eq.lhs.var
-    r = eq.rhs
-    if schema.contains(y):
-        # Condition 1: bindings on schema variables, unless the rhs is a
-        # plain variable outside the schema.
-        return not (isinstance(r, Var) and not schema.contains(r.var))
-    # Condition 2: tied to an existing store entry (y occurs in it, or the
-    # rhs is a variable the store binds).
-    if y in index.lhs_vars or y in index.rhs_vars:
-        return True
-    if isinstance(r, Var) and r.var in index.lhs_vars:
-        return True
-    # Condition 3: reachable from a schema variable of the store by unfolding.
-    return any(schema.reachable_by_unfolding(y, z) for z in index.schema_vars)
+def store_eligible(x: Variable, index: StoreIndex, schema: Schema) -> bool:
+    """May the bindings of x, a variable outside the schema, move into the
+    store that index describes?  Condition 2: x occurs in the store;
+    condition 3: x is reachable from a schema variable of the store by
+    unfolding."""
+    return x in index.vars or any(
+        schema.reachable_by_unfolding(x, z) for z in index.schema_vars
+    )
 
 
 class _Class:
@@ -140,7 +118,8 @@ class _Class:
 def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
     """Saturate, store, and gate an equation set against the schema."""
     classes: dict[Variable, _Class] = {}
-    reflexive: set[Equation] = set()
+    loops: set[Var] = set()  # the x of the input's x = x
+    clash: Optional[Equation] = None
 
     def class_of(x: Var) -> _Class:
         c = classes.get(x.var)
@@ -156,10 +135,8 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             if isinstance(t, Var):
                 s, t = t, s  # orient
             elif s.head != t.head or len(s.args) != len(t.args):
-                active = frozenset(_active(classes, reflexive))
-                return FinalConfiguration(
-                    frozenset(), active, "clash", Equation(s, t)
-                )
+                clash = Equation(s, t)
+                break
             else:
                 work.extend((a, b) for a, b in zip(s.args, t.args) if a is not b)
                 continue
@@ -170,7 +147,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
                 c.sides[t] = None
             continue
         if s is t:
-            reflexive.add(Equation(s, t))
+            loops.add(s)
             continue
         d = class_of(t)
         if c is d:
@@ -184,15 +161,37 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             classes[x.var] = c
         c.members.extend(d.members)
 
-    active = _active(classes, reflexive)
     store: set[Equation] = set()
-    while True:
+    active: set[Equation] = set()
+    waiting: dict[_Class, tuple[list[Variable], list[Equation]]] = {}
+    for c in dict.fromkeys(classes.values()):
+        schematic = [x for x in c.members if schema.contains(x.var)]
+        plain = [x for x in c.members if not schema.contains(x.var)]
+        fixed = _bindings(schematic, schematic, c, loops)  # condition 1
+        moving = _bindings(plain, c.members, c, loops)
+        store.update(fixed)
+        active.update(Equation(z, x) for z in schematic for x in plain)
+        if fixed:
+            store.update(moving)
+        else:
+            active.update(moving)
+            waiting[c] = ([x.var for x in plain], moving)
+    if clash is not None:  # all of the saturated set met so far is active
+        return FinalConfiguration(
+            frozenset(), frozenset(store | active), "clash", clash
+        )
+    while waiting:
         index = StoreIndex.of(store, schema)
-        movable = [e for e in active if store_eligible(e, index, schema)]
-        if not movable:
+        ready = [
+            c
+            for c, (plain, _) in waiting.items()
+            if any(store_eligible(x, index, schema) for x in plain)
+        ]
+        if not ready:
             break
-        store.update(movable)
-        active.difference_update(movable)
+        moving = [e for c in ready for e in waiting.pop(c)[1]]
+        store.update(moving)
+        active.difference_update(moving)
 
     verdict, offending = "ok", None
     if not _acyclic(classes):
@@ -204,41 +203,36 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         frozenset(active),
         verdict,
         offending,
-        frozenset(_orbits(classes, index.lhs_vars, schema)),
+        frozenset(_orbits(classes, waiting, schema)),
     )
 
 
-def _active(
-    classes: dict[Variable, _Class], reflexive: set[Equation]
-) -> set[Equation]:
-    """The saturated set the classes stand for: x = y for distinct x, y of
-    one class, x = t for every member x and side t, and the reflexive
-    equations of the input."""
-    out = set(reflexive)
-    for v, c in classes.items():
-        if c.members[0].var != v:
-            continue  # one visit per class, at its first member
-        for x in c.members:
-            out.update([Equation(x, y) for y in c.members if y is not x])
-            out.update([Equation(x, t) for t in c.sides])
-    return out
+def _bindings(
+    xs: list[Var], ys: list[Var], c: _Class, loops: set[Var]
+) -> list[Equation]:
+    """The saturated equations on each x of xs, a member of class c: x = y
+    for every y of ys but x, x = t for every side t, and x = x if the input
+    has it."""
+    return (
+        [Equation(x, y) for x in xs for y in ys if y is not x]
+        + [Equation(x, t) for x in xs for t in c.sides]
+        + [Equation(x, x) for x in xs if x in loops]
+    )
 
 
 def _orbits(
-    classes: dict[Variable, _Class], bound: frozenset[Variable], schema: Schema
+    classes: dict[Variable, _Class], waiting: dict[_Class, object], schema: Schema
 ) -> Iterator[frozenset[Variable]]:
     """The orbits of the final store, read off the classes: the schema
-    variables of a class, and its other variables if the store binds one
-    of them; each only if it has at least two members."""
-    for v, c in classes.items():
-        if c.members[0].var != v:
-            continue  # one visit per class, at its first member
+    members of a class, and its plain members unless the class is still
+    waiting; each only if it has at least two members."""
+    for c in dict.fromkeys(classes.values()):
         members = frozenset(x.var for x in c.members)
         schematic = frozenset(x for x in members if schema.contains(x))
         plain = members - schematic
         if len(schematic) > 1:
             yield schematic
-        if len(plain) > 1 and not bound.isdisjoint(plain):
+        if len(plain) > 1 and c not in waiting:
             yield plain
 
 

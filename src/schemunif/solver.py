@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .engine import FinalConfiguration, th_unif
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import Schema, SchemaClass, make_primitive  # noqa: F401
-from .terms import Term, Var, Variable, variables
+from .terms import Term, Var, Variable
 from .unify import (
     Equation,
     Substitution,
@@ -155,17 +155,15 @@ def future_relevant(
 ) -> frozenset[Variable]:
     """Non-schema store variables whose index reaches a schema variable that
     the next unfolding expands, and whose symbol that unfolding re-emits."""
-    out: set[Variable] = set()
-    for x in eq_vars(store):
-        if schema.contains(x):
-            continue
-        for y in step_sub.domain():
-            if x.index >= y.index and x.symbol in {
-                v.symbol for v in variables(schema.base(y.symbol))
-            }:
-                out.add(x)
-                break
-    return frozenset(out)
+    lowest: dict[str, int] = {}  # symbol -> least index of a y re-emitting it
+    for y in step_sub.domain():
+        for v in schema.base(y.symbol).vars:
+            lowest[v.symbol] = min(lowest.get(v.symbol, y.index), y.index)
+    return frozenset(
+        x
+        for x in eq_vars(store)
+        if not schema.contains(x) and x.index >= lowest.get(x.symbol, x.index + 1)
+    )
 
 
 def normalized_store(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from schemunif.cli import parse_problem
-from schemunif.engine import FinalConfiguration, StoreIndex, store_eligible
+from schemunif.engine import FinalConfiguration
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem
 from schemunif.terms import App, Var, Variable, app, var, variables
@@ -384,7 +384,8 @@ def reference_store_eligible(eq, store, schema):
 # The engine's earlier saturation loop, kept as the reference: three rule
 # queues (orient App = Var, decompose, orient Var = Var), a change buffer that
 # is sorted and screened for clashes after every pass, and a queue of
-# transitivity pairs; the move phase sorts the active set every round.
+# transitivity pairs; the move phase sorts the active set every round and
+# judges each equation with reference_store_eligible.
 
 
 def reference_th_unif(eqs, schema):
@@ -466,9 +467,10 @@ def reference_th_unif(eqs, schema):
                 derive(Equation(e1.rhs, e2.rhs))
 
     while True:
-        index = StoreIndex.of(store, schema)
         movable = [
-            e for e in sorted_eqs(active) if store_eligible(e, index, schema)
+            e
+            for e in sorted_eqs(active)
+            if reference_store_eligible(e, store, schema)
         ]
         if not movable:
             break

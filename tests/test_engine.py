@@ -147,36 +147,39 @@ def test_reachability_crosses_rules():
     assert not schema.reachable_by_unfolding(Z(1).var, L(0).var)
 
 
-def eligible(e, store, schema):
-    return store_eligible(e, StoreIndex.of(store, schema), schema)
+def eligible(x, store, schema):
+    return store_eligible(x.var, StoreIndex.of(store, schema), schema)
 
 
 def test_store_eligible_schema_variable_binding():
+    # Condition 1 stores a schema variable's binding at once, unless the rhs
+    # is a plain variable outside the schema; an App lhs is never stored.
     schema = ex_schema()
-    empty = frozenset()
-    assert eligible(eq(L(0), h(Y(0), Y(1))), empty, schema)
-    # A schema variable bound to a plain outside variable is not stored.
-    assert not eligible(eq(L(0), Y(0)), empty, schema)
-    assert not eligible(eq(h(X(0), X(1)), Y(0)), empty, schema)
+    bound = eq(L(0), h(Y(0), Y(1)))
+    assert bound in th_unif([bound], schema).store
+    fc = th_unif([eq(L(0), Y(0))], schema)
+    assert eq(L(0), Y(0)) in fc.active and not fc.store
+    fc = th_unif([eq(h(X(0), X(1)), Y(0))], schema)
+    assert not fc.store and eq(Y(0), h(X(0), X(1))) in fc.active
 
 
 def test_store_eligible_tied_to_existing_entry():
     schema = ex_schema()
     store = frozenset([eq(Y(0), h(X(0), X(1)))])
-    # Shares the stored rhs variable X[0].
-    assert eligible(eq(X(0), h(Y(5), Y(6))), store, schema)
-    # Binds the same variable as a stored entry.
-    assert eligible(eq(Y(0), h(Y(7), Y(7))), store, schema)
-    # Unrelated binding on a fresh symbol is not eligible.
-    assert not eligible(eq(Z(9), h(Y(5), Y(5))), store, schema)
+    # Occurs on the right of a stored entry.
+    assert eligible(X(0), store, schema)
+    # Bound by a stored entry.
+    assert eligible(Y(0), store, schema)
+    # A fresh symbol is not eligible.
+    assert not eligible(Z(9), store, schema)
 
 
 def test_store_eligible_via_future_unfolding():
     schema = ex_schema()
     store = frozenset([eq(Y(0), L(2))])
-    # X[3] appears once L[2] is unfolded, so the binding is relevant.
-    assert eligible(eq(X(3), h(Y(5), Y(6))), store, schema)
-    assert not eligible(eq(X(1), h(Y(5), Y(6))), store, schema)
+    # X[3] appears once L[2] is unfolded, so its bindings are relevant.
+    assert eligible(X(3), store, schema)
+    assert not eligible(X(1), store, schema)
 
 
 # -- the store index and the reachability memo against the references ------
@@ -201,25 +204,22 @@ def _diff_vars(max_index):
 _stores = st.frozensets(
     st.builds(Equation, _diff_vars(6), _diff_terms(6)), max_size=6
 )
-_candidates = st.lists(
-    st.one_of(
-        st.builds(Equation, _diff_vars(9), _diff_terms(9)),
-        st.builds(Equation, _diff_terms(9), _diff_terms(9)),
-    ),
-    min_size=1,
-    max_size=8,
-)
+_candidates = st.lists(_diff_vars(9), min_size=1, max_size=8)
 
 
 @settings(max_examples=200)
 @given(st.sampled_from(DIFF_RULES), _stores, _candidates)
 def test_store_index_matches_reference_eligibility(rules, store, candidates):
+    """For a plain variable x, store_eligible judges every binding of x as
+    the reference judges x = a: a constant rhs is bound by no store."""
     schema = Schema.of(rules)
     index = StoreIndex.of(store, schema)
-    for e in candidates:
-        assert store_eligible(e, index, schema) == reference_store_eligible(
-            e, store, schema
-        ), (str(schema), sorted(map(str, store)), str(e))
+    for x in candidates:
+        if schema.contains(x.var):
+            continue
+        assert store_eligible(x.var, index, schema) == reference_store_eligible(
+            Equation(x, app("a")), store, schema
+        ), (str(schema), sorted(map(str, store)), str(x))
 
 
 def test_memoized_reachability_matches_reference():
@@ -418,6 +418,59 @@ def test_no_orbit_mixes_schema_and_other_variables():
         frozenset([L(1).var, L(2).var]),
         frozenset([X(3).var, X(5).var]),
     }
+
+
+# -- whole classes move into the store ----------------------------------------
+
+
+def _moves(eqs, schema):
+    """th_unif agrees in full with the reference engine, which judges each
+    equation on its own."""
+    fc = th_unif(eqs, schema)
+    assert fc == reference_th_unif(eqs, schema)
+    return fc
+
+
+def test_plain_members_move_with_a_schema_member_bound_to_a_side():
+    # Condition 1 stores L[0] = h(X0, X1); nothing else ties Y[0].
+    side = h(X(0), X(1))
+    fc = _moves([eq(L(0), Y(0)), eq(Y(0), side)], ex_schema())
+    assert fc.store == {eq(L(0), side), eq(Y(0), side), eq(Y(0), L(0))}
+    assert fc.active == {eq(L(0), Y(0))}
+
+
+def test_plain_members_move_with_two_schema_members():
+    fc = _moves([eq(L(0), L(1)), eq(L(1), Y(0))], ex_schema())
+    assert {eq(L(0), L(1)), eq(Y(0), L(0)), eq(Y(0), L(1))} <= fc.store
+    assert fc.active == {eq(L(0), Y(0)), eq(L(1), Y(0))}
+    assert fc.orbits == {frozenset([L(0).var, L(1).var])}
+
+
+def test_plain_members_move_with_a_reflexive_schema_member():
+    fc = _moves([eq(L(0), L(0)), eq(L(0), Y(0))], ex_schema())
+    assert fc.store == {eq(L(0), L(0)), eq(Y(0), L(0))}
+    assert fc.active == {eq(L(0), Y(0))}
+
+
+def test_lone_schema_member_with_a_plain_member():
+    # L[0] = Y[0] is never stored; Y[0] = L[0] only once Y[0] is tied.
+    fc = _moves([eq(L(0), Y(0))], ex_schema())
+    assert not fc.store
+    tie = eq(L(1), h(Y(0), Y(0)))
+    fc = _moves([eq(L(0), Y(0)), tie], ex_schema())
+    assert fc.store == {tie, eq(Y(0), L(0))}
+    assert fc.active == {eq(L(0), Y(0))}
+
+
+def test_class_moves_in_a_later_round_through_reachability():
+    # Round 1 moves W[0]'s class, which holds L[1] in its side; X[3] is
+    # reachable from L[1] but not from L[0], so its class moves in round 2.
+    schema = Schema.of(DIFF_RULES[0])  # L[i] -> f(f(X[i], Y[i+1]), L[i+2])
+    w, u = var("W", 0), var("U", 0)
+    eqs = [eq(L(0), app("g", w)), eq(w, f(L(1), app("a"))), eq(X(3), u)]
+    fc = _moves(eqs, schema)
+    assert {eq(X(3), u), eq(u, X(3))} <= fc.store
+    assert fc.orbits == {frozenset([X(3).var, u.var])}
 
 
 # Few variables, one binary head and one constant: equations chain variables
