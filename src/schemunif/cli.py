@@ -321,26 +321,22 @@ def emit_trace(run: SolverRun) -> str:
     lines: list[str] = []
     if run.stab is not None:
         lines.append(f"stab = {run.stab}")
-    for r in run.records:
-        lines.append(f"== i={r.i}")
+    for r in map(_record_json, run.records):
+        i = r["i"]
+        lines.append(f"== i={i}")
         lines.append(
-            f"  |vars(U({r.i}))| - |dom(sub_{r.i})| - |irrV_{r.i}| = {r.metric}"
+            f"  |vars(U({i}))| - |dom(sub_{i})| - |irrV_{i}| = {r['metric']}"
         )
-        lines.append(
-            f"  |vars(NStore.sub_{r.i})| - |irrV_{r.i}| = {r.metric_live}"
-        )
-        if r.ratio is not None:
-            lines.append(f"  stab ratio = {r.ratio}")
+        lines.append(f"  |vars(NStore.sub_{i})| - |irrV_{i}| = {r['metric_live']}")
+        if r["ratio"] is not None:
+            lines.append(f"  stab ratio = {r['ratio']}")
         lines.append("  store:")
-        for e in sorted_eqs(r.store):
-            lines.append(f"    {e}")
+        lines.extend(f"    {e}" for e in r["store"])
         lines.append("  irr:")
-        for e in sorted_eqs(r.irr):
-            lines.append(f"    {e}")
-        fr = ", ".join(str(v) for v in sorted(r.fr))
-        lines.append(f"  fr: {{{fr}}}")
-        lines.append(f"  sub: {r.eq_sub}")
-        lines.append(f"  psi: {r.step_sub}")
+        lines.extend(f"    {e}" for e in r["irr"])
+        lines.append(f"  fr: {{{', '.join(r['fr'])}}}")
+        lines.append(f"  sub: {r['eq_sub']}")
+        lines.append(f"  psi: {r['psi']}")
     if isinstance(run.outcome, CycleFound):
         lines.append(f"  mu: {_mapping_str(run.outcome.mapping)}")
     lines.append(outcome_line(run.outcome))

@@ -239,12 +239,15 @@ def _orbits(
 def _acyclic(classes: dict[Variable, _Class]) -> bool:
     """Does no class reach itself through the classes of the variables in
     its sides?  ``graphlib`` orders the graph from each class to those
-    classes, or raises ``CycleError``; a self-loop is a cycle."""
+    classes, or raises ``CycleError``; a self-loop is a cycle.  A graph
+    without edges needs no sorter."""
     graph = {
-        c: {classes[v] for t in c.sides for v in t.vars if v in classes}
+        c: edges
         for c in dict.fromkeys(classes.values())
-        if c.sides
+        if (edges := {classes[v] for t in c.sides for v in t.vars if v in classes})
     }
+    if not graph:
+        return True
     try:
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError:

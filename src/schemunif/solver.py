@@ -12,11 +12,12 @@ every instance is unifiable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import FinalConfiguration, th_unif
+from .engine import th_unif
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import Schema, SchemaClass, make_primitive  # noqa: F401
 from .terms import Term, Var, Variable
@@ -46,6 +47,7 @@ class InstanceRecord:
 
     i: int
     store: frozenset[Equation]
+    vars: frozenset[Variable]  # the variables of the store
     irr: frozenset[Equation]
     step_sub: Substitution
     eq_sub: Substitution
@@ -92,9 +94,11 @@ class SolverRun:
     stab: Optional[int] = None  # unset when instance 0 already fails
 
 
-def step_substitution(store: frozenset[Equation], schema: Schema) -> Substitution:
-    """One-step unfolding of every schema variable occurring in the store."""
-    return schema.step(eq_vars(store))
+def step_substitution(
+    store_vars: frozenset[Variable], schema: Schema
+) -> Substitution:
+    """One-step unfolding of every schema variable of the store."""
+    return schema.step(store_vars)
 
 
 def irrelevant_set(
@@ -109,13 +113,12 @@ def irrelevant_set(
 
 
 def irrelevant_vars(
-    irr: frozenset[Equation], store: frozenset[Equation], schema: Schema
+    irr: frozenset[Equation], store_vars: frozenset[Variable], schema: Schema
 ) -> frozenset[Variable]:
-    sv = eq_vars(store)
     return frozenset(
         x
         for x in eq_vars(irr)
-        if not schema.contains(x) and x not in sv
+        if not schema.contains(x) and x not in store_vars
     )
 
 
@@ -151,7 +154,7 @@ def compute_eq_sub(orbits: frozenset[frozenset[Variable]]) -> Substitution:
 
 
 def future_relevant(
-    store: frozenset[Equation], step_sub: Substitution, schema: Schema
+    store_vars: frozenset[Variable], step_sub: Substitution, schema: Schema
 ) -> frozenset[Variable]:
     """Non-schema store variables whose index reaches a schema variable that
     the next unfolding expands, and whose symbol that unfolding re-emits."""
@@ -161,7 +164,7 @@ def future_relevant(
             lowest[v.symbol] = min(lowest.get(v.symbol, y.index), y.index)
     return frozenset(
         x
-        for x in eq_vars(store)
+        for x in store_vars
         if not schema.contains(x) and x.index >= lowest.get(x.symbol, x.index + 1)
     )
 
@@ -251,9 +254,7 @@ def var_disjoint(rec_i: InstanceRecord, rec_j: InstanceRecord) -> bool:
     variables.  (Sharing either would let a variable of the earlier
     instance still constrain the later one, invalidating the loop
     argument.)"""
-    if eq_vars(rec_i.store) & eq_vars(rec_j.store):
-        return False
-    return not (rec_i.fr & rec_j.fr)
+    return rec_i.vars.isdisjoint(rec_j.vars) and rec_i.fr.isdisjoint(rec_j.fr)
 
 
 def stab_index(problem: SchematicProblem, psi0: Substitution) -> int:
@@ -286,68 +287,53 @@ def u_sch_unif(
     schema = problem.schema
 
     records: list[InstanceRecord] = []
+    stab: Optional[int] = None  # set once instance 0 unifies
     # Variable set of the directly instantiated problem, maintained
     # incrementally (the terms themselves grow too fast to materialize).
     inst_vars = eq_vars(problem.equations)
-
-    fc = th_unif(problem.equations, schema)
-    if not fc.ok:
-        return SolverRun(NotUnifiable(0, fc.verdict, fc.offending), records)
-
-    irr: frozenset[Equation] = irrelevant_set(fc.active, schema)
-    psi = step_substitution(fc.store, schema)
-    stab = stab_index(problem, psi)
-    if cap is None:
-        cap = _default_cap(problem, stab)
-
-    def make_record(i: int, fc: FinalConfiguration) -> InstanceRecord:
-        eq_sub = compute_eq_sub(fc.orbits)
-        fr = future_relevant(fc.store, psi, schema)
-        irrv = irrelevant_vars(irr, fc.store, schema)
-        normalized = normalized_store(fc.store, schema)
-        simplified = simplified_store(normalized, eq_sub)
-        metric = len(inst_vars) - len(eq_sub.domain()) - len(irrv)
-        # eq_sub maps each orbit onto a member, and every orbit member
-        # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
-        live = len(eq_vars(normalized) - eq_sub.domain())
-        return InstanceRecord(
-            i=i,
-            store=fc.store,
-            irr=irr,
-            step_sub=psi,
-            eq_sub=eq_sub,
-            fr=fr,
-            simplified=simplified,
-            metric=metric,
-            metric_live=live - len(irrv),
-        )
-
-    records.append(make_record(0, fc))
-
-    prev_store = fc.store
-    for i in range(1, cap + 1):
-        prev_psi = psi
-        unfold = schema.step(inst_vars)
-        inst_vars = (inst_vars - unfold.domain()).union(
-            *(t.vars for t in unfold.mapping.values())
-        )
-        fc = th_unif(prev_psi.apply_eqs(prev_store), schema)
+    # Engine input and irrelevant set carried into instance i.
+    eqs, irr = problem.equations, frozenset()
+    for i in itertools.count():
+        fc = th_unif(eqs, schema)
         if not fc.ok:
             return SolverRun(
                 NotUnifiable(i, fc.verdict, fc.offending), records, stab
             )
-        irr = prev_psi.apply_eqs(irr) | irrelevant_set(fc.active, schema)
-        failure = cycle_check(irr, schema)
-        if failure is not None:
-            return SolverRun(
-                NotUnifiable(i, "irr-cycle", failure.equation), records, stab
-            )
-        psi = step_substitution(fc.store, schema)
-        rec = make_record(i, fc)
+        irr = irr | irrelevant_set(fc.active, schema)
+        if i > 0:
+            failure = cycle_check(irr, schema)
+            if failure is not None:
+                return SolverRun(
+                    NotUnifiable(i, "irr-cycle", failure.equation), records, stab
+                )
+        store_vars = eq_vars(fc.store)
+        psi = step_substitution(store_vars, schema)
+        if stab is None:
+            stab = stab_index(problem, psi)
+            if cap is None:
+                cap = _default_cap(problem, stab)
+        eq_sub = compute_eq_sub(fc.orbits)
+        irrv = irrelevant_vars(irr, store_vars, schema)
+        normalized = normalized_store(fc.store, schema)
+        # eq_sub maps each orbit onto a member, and every orbit member
+        # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
+        live = len(eq_vars(normalized) - eq_sub.domain())
+        rec = InstanceRecord(
+            i=i,
+            store=fc.store,
+            vars=store_vars,
+            irr=irr,
+            step_sub=psi,
+            eq_sub=eq_sub,
+            fr=future_relevant(store_vars, psi, schema),
+            simplified=simplified_store(normalized, eq_sub),
+            metric=len(inst_vars) - len(eq_sub.domain()) - len(irrv),
+            metric_live=live - len(irrv),
+        )
         records.append(rec)
-        prev_store = fc.store
 
-        if i >= stab:
+        # Instance 0 has no earlier instance to rename onto.
+        if i > 0 and i >= stab:
             denominator = max(r.metric for r in records[: stab + 1])
             # A degenerate problem (no live schema recursion) can have an
             # all-zero metric history; any non-growing metric counts as stable.
@@ -358,11 +344,17 @@ def u_sch_unif(
             )
             if rec.ratio > 1:
                 return SolverRun(StabilityViolation(i, rec.ratio), records, stab)
-            for j in range(i):
-                other = records[j]
-                mu = check_for_map(
-                    rec.fr, rec.simplified, other.fr, other.simplified
-                )
-                if mu is not None and var_disjoint(rec, other):
-                    return SolverRun(CycleFound(i, j, mu), records, stab)
-    return SolverRun(Exhausted(cap), records, stab)
+            for j, other in enumerate(records[:i]):
+                if var_disjoint(rec, other):
+                    mu = check_for_map(
+                        rec.fr, rec.simplified, other.fr, other.simplified
+                    )
+                    if mu is not None:
+                        return SolverRun(CycleFound(i, j, mu), records, stab)
+        if i >= cap:
+            return SolverRun(Exhausted(cap), records, stab)
+        eqs, irr = psi.apply_eqs(fc.store), psi.apply_eqs(irr)
+        unfold = schema.step(inst_vars)
+        inst_vars = (inst_vars - unfold.domain()).union(
+            *(t.vars for t in unfold.mapping.values())
+        )

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from schemunif import solver
 from schemunif.cli import parse_problem
 from schemunif.engine import th_unif
 from schemunif.oracle import bounded_check
@@ -38,7 +39,7 @@ def ex_schema():
 def test_step_substitution_unfolds_store_schema_vars():
     schema = ex_schema()
     store = frozenset([eq(Y(0), h(X(0), X(1))), eq(L(1), h(Y(1), Y(0)))])
-    psi = step_substitution(store, schema)
+    psi = step_substitution(eq_vars(store), schema)
     assert psi.domain() == {L(1).var}
     assert psi.apply(L(1)) == shift(1, EX_BASE)
 
@@ -61,7 +62,7 @@ def test_irrelevant_vars_excludes_store_and_schema():
     store = frozenset([eq(X(1), h(Y(5), Y(5)))])
     # L[2] is a schema variable and X[1] occurs in the store; only Y[1]
     # counts as irrelevant.
-    assert irrelevant_vars(irr, store, schema) == {Y(1).var}
+    assert irrelevant_vars(irr, eq_vars(store), schema) == {Y(1).var}
 
 
 def test_cycle_check_clean_set():
@@ -131,16 +132,18 @@ def test_future_relevant_needs_index_and_symbol():
     store = frozenset(
         [eq(X(2), h(Y(0), Y(0))), eq(Y(5), h(X(0), X(0))), eq(L(1), h(X(0), X(0)))]
     )
-    psi = step_substitution(store, schema)
+    store_vars = eq_vars(store)
+    psi = step_substitution(store_vars, schema)
     # X[2]'s index reaches L[1] and the base re-emits X; Y never appears in
     # the base, and nothing else qualifies.
-    assert future_relevant(store, psi, schema) == {X(2).var}
+    assert future_relevant(store_vars, psi, schema) == {X(2).var}
 
 
 def test_future_relevant_empty_without_schema_vars():
     schema = ex_schema()
-    store = frozenset([eq(X(2), h(Y(0), Y(0)))])
-    assert future_relevant(store, step_substitution(store, schema), schema) == frozenset()
+    store_vars = eq_vars(frozenset([eq(X(2), h(Y(0), Y(0)))]))
+    psi = step_substitution(store_vars, schema)
+    assert future_relevant(store_vars, psi, schema) == frozenset()
 
 
 def test_normalized_store_folds_unfoldings():
@@ -399,6 +402,7 @@ def test_store_lhs_variables_across_corpus(corpus):
         for rec in run.records:
             for e in rec.store:
                 assert isinstance(e.lhs, Var), (path, rec.i, str(e))
+            assert rec.vars == eq_vars(rec.store), (path, rec.i)
 
 
 # -- recursion offsets above 1 -----------------------------------------------
@@ -468,3 +472,71 @@ def test_solver_agrees_with_oracle_on_uniform_problems(problem):
             report = bounded_check(problem, n=out.instance)
             assert report.first_failure is not None
             assert report.first_failure[0] == out.instance
+
+
+# -- the loop scan -----------------------------------------------------------
+
+
+def first_loop_pair(run):
+    """The first (i, j, mu) in scan order, i upward from the stabilization
+    index (instance 0 is never scanned) and then j upward from 0, whose
+    records pass both check_for_map and var_disjoint."""
+    recs = run.records
+    for i in range(max(run.stab, 1), len(recs)):
+        for j in range(i):
+            mu = check_for_map(
+                recs[i].fr, recs[i].simplified, recs[j].fr, recs[j].simplified
+            )
+            if mu is not None and var_disjoint(recs[i], recs[j]):
+                return i, j, mu
+    return None
+
+
+def assert_first_loop_pair(run):
+    out = run.outcome
+    if isinstance(out, CycleFound):
+        assert first_loop_pair(run) == (out.i, out.j, out.mapping)
+
+
+def test_cycle_is_first_loop_pair_across_corpus(corpus):
+    for path, parsed in corpus:
+        assert_first_loop_pair(u_sch_unif(parsed.problem))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(uniform_problems(max_offset=3))
+def test_cycle_is_first_loop_pair_on_uniform_problems(problem):
+    assert_first_loop_pair(u_sch_unif(problem, cap=30))
+
+
+# Past the stabilization index, most simplified stores rename onto an
+# earlier one, but the raw stores keep the old orbit members: no pair is
+# disjoint, and the run ends at the cap with raw stores of up to 841
+# equations.
+BLOW_UP_1 = """
+schema:
+  L[i] -> f(X[i+1], L[i+1]);
+problem:
+  Y[1] = g(f(g(L[2]), Y[0]));
+  f(Y[2], L[2]) = L[3];
+"""
+
+
+def test_blow_up_1_walks_each_store_once(monkeypatch):
+    walked = []
+
+    def counting_eq_vars(eqs):
+        walked.append(eqs)
+        return eq_vars(eqs)
+
+    monkeypatch.setattr(solver, "eq_vars", counting_eq_vars)
+    run = u_sch_unif(parse_problem(BLOW_UP_1).problem, cap=40)
+    assert run.outcome == Exhausted(40)
+    for rec in run.records:
+        assert sum(eqs is rec.store for eqs in walked) == 1, rec.i
