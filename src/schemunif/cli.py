@@ -19,6 +19,7 @@ A term may be at most MAX_TERM_DEPTH deep (a variable or constant has depth
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -416,7 +417,9 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command line's parser, built on first use and then reused."""
     ap = _ArgumentParser(
         prog="schemunif",
         description="Decide unifiability of a uniform schematic "
@@ -444,7 +447,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=DEFAULT_NODE_CAP,
         help="per-instance node limit for the oracle",
     )
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     sys.setrecursionlimit(100_000)
     try:

@@ -180,8 +180,19 @@ def normalized_store(
 def simplified_store(
     normalized: frozenset[Equation], eq_sub: Substitution
 ) -> frozenset[Equation]:
-    """A normalized store with eq_sub applied, less its reflexive equations."""
-    return frozenset(e for e in eq_sub.apply_eqs(normalized) if e.lhs != e.rhs)
+    """A normalized store with eq_sub applied, less its reflexive equations.
+    Every left side is a variable, so only a ``Var = Var`` pair whose sides
+    eq_sub maps to one representative turns reflexive; such pairs, the
+    orbits' among them, are dropped before they are rebuilt."""
+    rep = eq_sub.mapping
+    return eq_sub.apply_eqs(
+        e
+        for e in normalized
+        if not (
+            isinstance(e.rhs, Var)
+            and rep.get(e.lhs.var, e.lhs) is rep.get(e.rhs.var, e.rhs)
+        )
+    )
 
 
 def check_for_map(

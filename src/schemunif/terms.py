@@ -14,13 +14,19 @@ large its tree).  Each node caches its tree size, depth, variable set and
 sort key when it is built, from its children's cached values, so reading
 any of them never walks the term.  Terms are immutable; copying or
 unpickling one yields the interned object.
+
+The intern tables are plain dicts from a structure to a weak reference to
+its term.  A lookup finds no term when there is no entry or its term has
+died.  When a term dies, its reference's callback deletes its entry, but
+only if the entry is still that reference: a term that dies inside a
+garbage-collected cycle can call back after a new term has taken its key.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import FrozenInstanceError
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 
 class _VariableFields(NamedTuple):
@@ -76,21 +82,39 @@ class _Node:
 
 _set = object.__setattr__
 
-# Intern tables: structure -> the one live term with it.  Values are held
-# weakly, so a term no one else references is dropped from its table.  The
-# tables are process-wide and filled without a lock: build terms from one
-# thread at a time.
-_vars: "weakref.WeakValueDictionary[Variable, Var]" = (
-    weakref.WeakValueDictionary()
-)
-_apps: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
+# Intern tables (see the module docstring).  They are process-wide and
+# filled without a lock: build terms from one thread at a time.
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned term that carries the term's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(table: dict) -> Callable[[_Ref], None]:
+    """The callback that deletes a dead term's entry from table, if the
+    entry is still that term's reference."""
+
+    def forget(ref: _Ref) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return forget
+
+
+_vars: dict[Variable, _Ref] = {}
+_apps: dict[tuple, _Ref] = {}
+_forget_var = _forget(_vars)
+_forget_app = _forget(_apps)
 
 
 class Var(_Node):
     __slots__ = ("var",)
 
     def __new__(cls, var: Variable) -> "Var":
-        t = _vars.get(var)
+        ref = _vars.get(var)
+        t = ref and ref()
         if t is None:
             t = object.__new__(cls)
             _set(t, "var", var)
@@ -98,7 +122,8 @@ class Var(_Node):
             _set(t, "depth", 1)
             _set(t, "vars", frozenset((var,)))
             _set(t, "key", (0, var.symbol, var.index))
-            _vars[var] = t
+            _vars[var] = ref = _Ref(t, _forget_var)
+            ref.key = var
         return t
 
     def __reduce__(self):
@@ -121,7 +146,8 @@ class App(_Node):
         if type(args) is not tuple:
             args = tuple(args)
         structure = (head, args)
-        t = _apps.get(structure)
+        ref = _apps.get(structure)
+        t = ref and ref()
         if t is None:
             size, depth, vs, keys = 1, 0, _NO_VARS, []
             for a in args:
@@ -141,7 +167,8 @@ class App(_Node):
             _set(t, "depth", depth + 1)
             _set(t, "vars", vs)
             _set(t, "key", (1, head, len(args), tuple(keys)))
-            _apps[structure] = t
+            _apps[structure] = ref = _Ref(t, _forget_app)
+            ref.key = structure
         return t
 
     def __reduce__(self):

@@ -6,9 +6,12 @@ triangular form: a variable is bound to a term as it stands, and bindings
 are followed ("walked") when a variable is looked at, never applied to one
 another.  Over interned terms this keeps the work proportional to the
 distinct subterms of the input, where a fully applied solved form can be
-exponentially larger than it.  The mgu is resolved once, at the end, with
-one memo shared by all bindings.  Failure is reported as a verdict (Clash
-or Cycle) carrying the offending equation, not as an exception.
+exponentially larger than it.  The mgu is resolved on first read: a
+successful ``unify`` returns a ``Substitution`` holding the triangular
+bindings, and the first look at its map applies them all, with one memo
+shared by all bindings.  A caller that wants only the verdict never pays
+for the map.  Failure is reported as a verdict (Clash or Cycle) carrying
+the offending equation, not as an exception.
 
 An ``Equation`` is a value tuple ``(lhs, rhs)``: over interned terms its
 hash and equality are tuple operations on identities, all in C.
@@ -51,7 +54,7 @@ def sorted_eqs(eqs: Iterable[Equation]) -> list[Equation]:
 class Substitution:
     """A finite map from variables to terms; self-bindings are dropped."""
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_triangular")
 
     def __init__(self, bindings: Mapping[Variable, Term] | None = None):
         m: dict[Variable, Term] = {}
@@ -60,6 +63,15 @@ class Substitution:
                 if not (isinstance(t, Var) and t.var == v):
                     m[v] = t
         self._map = m
+
+    def __getattr__(self, name: str) -> dict[Variable, Term]:
+        # Only a substitution made by ``unify`` gets here, on the first read
+        # of its map: it holds triangular bindings until then.
+        if name != "_map":
+            raise AttributeError(name)
+        self._map = m = _resolved(self._triangular)
+        del self._triangular
+        return m
 
     @property
     def mapping(self) -> dict[Variable, Term]:
@@ -156,22 +168,6 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
                     todo.append(b.vars)
         return False
 
-    memo: dict[int, Term] = {}
-
-    def resolve(t: Term) -> Term:
-        """t with the bindings applied, memoized over nodes; only valid
-        while no binding is added."""
-        if bound.keys().isdisjoint(t.vars):
-            return t
-        out = memo.get(id(t))
-        if out is None:
-            if isinstance(t, Var):
-                out = resolve(bound[t.var])
-            else:
-                out = App(t.head, tuple([resolve(a) for a in t.args]))
-            memo[id(t)] = out
-        return out
-
     work = [(e.lhs, e.rhs) for e in sorted_eqs(eqs)]
     work.reverse()
     while work:
@@ -193,7 +189,37 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
             s, t = t, s
         assert isinstance(s, Var)
         if isinstance(t, App) and occurs(s.var, t):
-            return UnifyFailure("cycle", Equation(s, resolve(t)))
+            return UnifyFailure("cycle", Equation(s, _resolver(bound)(t)))
         bound[s.var] = t
 
-    return Substitution({v: resolve(t) for v, t in bound.items()})
+    mgu = object.__new__(Substitution)
+    mgu._triangular = bound
+    return mgu
+
+
+def _resolver(bound: dict[Variable, Term]) -> Callable[[Term], Term]:
+    """Triangular bindings applied to a term, memoized over nodes; only
+    valid while no binding is added."""
+    memo: dict[int, Term] = {}
+
+    def resolve(t: Term) -> Term:
+        if bound.keys().isdisjoint(t.vars):
+            return t
+        out = memo.get(id(t))
+        if out is None:
+            if isinstance(t, Var):
+                out = resolve(bound[t.var])
+            else:
+                out = App(t.head, tuple([resolve(a) for a in t.args]))
+            memo[id(t)] = out
+        return out
+
+    return resolve
+
+
+def _resolved(bound: dict[Variable, Term]) -> dict[Variable, Term]:
+    """The mgu's map: every triangular binding applied in full, with one
+    memo shared by all of them.  Bindings are acyclic, so none resolves to
+    its own variable."""
+    resolve = _resolver(bound)
+    return {v: resolve(t) for v, t in bound.items()}

@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schemunif import terms as terms_module
 from schemunif.cli import parse_problem
 from schemunif.terms import (
     App,
@@ -196,3 +198,51 @@ def test_unfolded_instance_is_shared():
             if isinstance(t, App):
                 todo.extend(t.args)
     assert len(seen) <= 500
+
+
+# -- the intern tables ----------------------------------------------------------
+
+
+def test_intern_entry_goes_with_its_last_reference():
+    v = Variable("Qintern", 7)
+    t = app("hintern", Var(v), const("cintern"))
+    structure = (t.head, t.args)
+    text, key = str(t), t.key
+    assert terms_module._apps[structure]() is t
+    del t
+    gc.collect()
+    assert structure not in terms_module._apps
+    # structure still holds the arguments; dropping it frees the variable.
+    del structure
+    gc.collect()
+    assert v not in terms_module._vars
+    rebuilt = app("hintern", Var(v), const("cintern"))
+    assert str(rebuilt) == text and rebuilt.key == key
+    assert _rebuild(rebuilt) is rebuilt
+    assert terms_module._apps[(rebuilt.head, rebuilt.args)]() is rebuilt
+    assert terms_module._vars[v]() is rebuilt.args[0]
+
+
+def test_stale_intern_callback_keeps_the_live_entry():
+    # A term dying in a collected cycle can call back after a new term
+    # took its key; the callback must leave the new entry alone.
+    structure = ("hstale", ())
+    t = const("hstale")
+    old = terms_module._apps[structure]
+    forget = old.__callback__  # cleared once it has run
+    del t
+    gc.collect()
+    assert old() is None and structure not in terms_module._apps
+    live = const("hstale")
+    forget(old)
+    assert terms_module._apps[structure]() is live
+    assert const("hstale") is live
+    v = Variable("Qstale", 0)
+    t = Var(v)
+    old = terms_module._vars[v]
+    forget = old.__callback__
+    del t
+    gc.collect()
+    live_var = Var(v)
+    forget(old)
+    assert terms_module._vars[v]() is live_var

@@ -1,10 +1,13 @@
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemunif import engine, oracle, solver
+from schemunif import unify as unify_module
 from schemunif.terms import app, const, var
 from schemunif.unify import (
     Equation,
@@ -179,3 +182,75 @@ def test_unify_chain_stays_shared():
     assert r.apply(X(0)).size == 2 ** 61 - 1
     closing = unify(_chain(60) + [eq(X(60), f(X(0), X(0)))])
     assert isinstance(closing, UnifyFailure) and closing.kind == "cycle"
+
+
+# -- the mgu is resolved on first read ----------------------------------------
+
+
+def _count_resolutions(monkeypatch):
+    """A list that grows by one each time an mgu's map is resolved."""
+    resolved = []
+    real = unify_module._resolved
+
+    def counting(bound):
+        resolved.append(len(bound))
+        return real(bound)
+
+    monkeypatch.setattr(unify_module, "_resolved", counting)
+    return resolved
+
+
+def test_callers_never_resolve_an_mgu(monkeypatch, corpus, golden_problem):
+    resolved = _count_resolutions(monkeypatch)
+    verdicts = Counter()
+    for module in (oracle, solver, engine):
+        real = module.unify
+
+        def counted(eqs, real=real, name=module.__name__):
+            result = real(eqs)
+            verdicts[name, type(result)] += 1
+            return result
+
+        monkeypatch.setattr(module, "unify", counted)
+    for _path, parsed in corpus:
+        oracle.bounded_check(parsed.problem, n=17)
+    solver.u_sch_unif(golden_problem)  # its cycle_check calls
+    (occurs,) = [p for path, p in corpus if path.endswith("occurs_direct.prob")]
+    solver.u_sch_unif(occurs.problem)  # the engine's gate
+    assert verdicts["schemunif.oracle", Substitution] > 0
+    assert verdicts["schemunif.solver", Substitution] > 0
+    assert verdicts["schemunif.engine", UnifyFailure] > 0
+    assert resolved == []
+
+
+def test_mgu_is_resolved_once_on_first_read(monkeypatch):
+    resolved = _count_resolutions(monkeypatch)
+    full = app("a")
+    for _ in range(3):
+        full = f(full, full)
+    for read in (
+        lambda r: r.mapping,
+        lambda r: r.apply(X(0)),
+        lambda r: r.apply_eqs([eq(X(0), Y(0))]),
+        lambda r: r.domain(),
+        lambda r: str(r),
+        lambda r: copy.copy(r),
+    ):
+        r = unify(_chain(3) + [eq(X(3), app("a"))])
+        assert type(r) is Substitution
+        before = len(resolved)
+        read(r)
+        assert len(resolved) == before + 1
+        assert r.apply(X(0)) == full
+        assert r.domain() == {X(k).var for k in range(4)}
+        assert len(resolved) == before + 1
+    # A failure resolves its cycle equation, not an mgu.
+    assert isinstance(unify(_chain(3) + [eq(X(3), f(X(0), X(0)))]), UnifyFailure)
+    assert len(resolved) == 6
+
+
+def test_lazy_mgu_copies_and_pickles_as_its_map():
+    r = unify([eq(X(0), f(Y(0), Y(1)))])
+    for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(copied) is Substitution and copied == r
+        assert copied.apply(X(0)) == f(Y(0), Y(1))
