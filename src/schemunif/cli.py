@@ -9,7 +9,7 @@ File format::
     # expect = cycle
 
 Schema-rule indices are written relative to the rule index i (``i``,
-``i+2``) or as plain naturals; problem-side indices are plain naturals.
+``i+2``); problem-side indices are plain naturals.
 Lowercase identifiers are function symbols, uppercase-initial identifiers
 are variable symbols, and function arities must be consistent file-wide.
 A term may be at most MAX_TERM_DEPTH deep (a variable or constant has depth
@@ -142,20 +142,20 @@ class _Parser:
         return self.next()
 
     def index(self, schematic: bool) -> int:
-        """The part between brackets: i, i+c, or a natural."""
+        """The part between brackets: i or i+c in a schema rule, a natural
+        elsewhere."""
         t = self.peek()
-        if schematic and t.kind == "fun" and t.text == "i":
-            self.next()
-            if self.peek().kind == "punct" and self.peek().text == "+":
-                self.next()
-                return int(self.expect("nat").text)
-            return 0
-        if t.kind == "nat":
+        if not schematic:
+            if t.kind != "nat":
+                self.fail("expected a natural-number index")
             return int(self.next().text)
-        if schematic:
-            self.fail("expected index of the form i, i+N, or a natural")
-        self.fail("expected a natural-number index")
-        raise AssertionError("unreachable")
+        if t.kind != "fun" or t.text != "i":
+            self.fail("expected index of the form i or i+N")
+        self.next()
+        if self.peek().kind == "punct" and self.peek().text == "+":
+            self.next()
+            return int(self.expect("nat").text)
+        return 0
 
     def variable(self, schematic: bool) -> Term:
         sym = self.expect("sym").text

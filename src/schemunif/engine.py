@@ -33,9 +33,10 @@ x occurs in the store.  Otherwise a plain member's bindings move once it
 occurs in the store or is reachable from a schema variable of the store
 (conditions 2 and 3), and its x = y then put the others in the store.  So
 a class's plain members move together: each round judges those of the
-waiting classes against a ``StoreIndex`` of the store at the start of the
-round and moves every class with an eligible member.  Eligibility only
-grows with the store, so this reaches the store that judging each
+waiting classes against the store's variables at the start of the round
+(one set, built after the first pass and grown by each round's moved
+bindings) and moves every class with an eligible member.  Eligibility
+only grows with the store, so this reaches the store that judging each
 equation reaches: the least one closed under the conditions.
 
 The gate is plain unification of store and active set, and it is run only
@@ -53,14 +54,16 @@ side holds one of its own members included.  So an acyclic graph gives
 The store's variable-equality orbits (x and y with both x = y and y = x
 stored, joined transitively) follow: a class's schema members, and its
 plain members if the class moved, as z = x is never stored for a schema
-variable z and a plain x.  An orbit of one member is dropped.
+variable z and a plain x.  The schema orbit is recorded as the class is
+split into its schema and plain members, the plain one when the class
+moves.  An orbit of one member is dropped.
 """
 
 from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .schema import Schema
 from .terms import App, Var, Variable
@@ -82,25 +85,17 @@ class FinalConfiguration:
         return self.verdict == "ok"
 
 
-class StoreIndex(NamedTuple):
-    """What store eligibility reads of a store."""
-
-    vars: frozenset[Variable]  # the variables of the store
-    schema_vars: frozenset[Variable]  # its schema variables
-
-    @staticmethod
-    def of(store: Iterable[Equation], schema: Schema) -> "StoreIndex":
-        vs = eq_vars(store)
-        return StoreIndex(vs, frozenset(v for v in vs if schema.contains(v)))
-
-
-def store_eligible(x: Variable, index: StoreIndex, schema: Schema) -> bool:
-    """May the bindings of x, a variable outside the schema, move into the
-    store that index describes?  Condition 2: x occurs in the store;
-    condition 3: x is reachable from a schema variable of the store by
-    unfolding."""
-    return x in index.vars or any(
-        schema.reachable_by_unfolding(x, z) for z in index.schema_vars
+def store_eligible(
+    x: Variable, store_vars: AbstractSet[Variable], schema: Schema
+) -> bool:
+    """May the bindings of x, a variable outside the schema, move into a
+    store with the variables store_vars?  Condition 2: x occurs in the
+    store; condition 3: x is reachable from a schema variable of the store
+    by unfolding."""
+    return x in store_vars or any(
+        schema.reachable_by_unfolding(x, z)
+        for z in store_vars
+        if z.symbol in schema.domain
     )
 
 
@@ -163,16 +158,20 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
 
     store: set[Equation] = set()
     active: set[Equation] = set()
+    orbits: list[frozenset[Variable]] = []  # one-member ones dropped at the end
     waiting: dict[_Class, tuple[list[Variable], list[Equation]]] = {}
-    for c in dict.fromkeys(classes.values()):
+    distinct = list(dict.fromkeys(classes.values()))
+    for c in distinct:
         schematic = [x for x in c.members if schema.contains(x.var)]
         plain = [x for x in c.members if not schema.contains(x.var)]
         fixed = _bindings(schematic, schematic, c, loops)  # condition 1
         moving = _bindings(plain, c.members, c, loops)
         store.update(fixed)
         active.update(Equation(z, x) for z in schematic for x in plain)
+        orbits.append(frozenset(x.var for x in schematic))
         if fixed:
             store.update(moving)
+            orbits.append(frozenset(x.var for x in plain))
         else:
             active.update(moving)
             waiting[c] = ([x.var for x in plain], moving)
@@ -180,21 +179,24 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         return FinalConfiguration(
             frozenset(), frozenset(store | active), "clash", clash
         )
+    store_vars = set(eq_vars(store))
     while waiting:
-        index = StoreIndex.of(store, schema)
         ready = [
             c
             for c, (plain, _) in waiting.items()
-            if any(store_eligible(x, index, schema) for x in plain)
+            if any(store_eligible(x, store_vars, schema) for x in plain)
         ]
         if not ready:
             break
-        moving = [e for c in ready for e in waiting.pop(c)[1]]
-        store.update(moving)
-        active.difference_update(moving)
+        for c in ready:
+            plain, moving = waiting.pop(c)
+            store.update(moving)
+            active.difference_update(moving)
+            store_vars.update(eq_vars(moving))
+            orbits.append(frozenset(plain))
 
     verdict, offending = "ok", None
-    if not _acyclic(classes):
+    if not _acyclic(distinct, classes):
         gate = unify(list(store) + list(active))
         if isinstance(gate, UnifyFailure):
             verdict, offending = gate.kind, gate.equation
@@ -203,7 +205,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         frozenset(active),
         verdict,
         offending,
-        frozenset(_orbits(classes, waiting, schema)),
+        frozenset(o for o in orbits if len(o) > 1),
     )
 
 
@@ -220,30 +222,14 @@ def _bindings(
     )
 
 
-def _orbits(
-    classes: dict[Variable, _Class], waiting: dict[_Class, object], schema: Schema
-) -> Iterator[frozenset[Variable]]:
-    """The orbits of the final store, read off the classes: the schema
-    members of a class, and its plain members unless the class is still
-    waiting; each only if it has at least two members."""
-    for c in dict.fromkeys(classes.values()):
-        members = frozenset(x.var for x in c.members)
-        schematic = frozenset(x for x in members if schema.contains(x))
-        plain = members - schematic
-        if len(schematic) > 1:
-            yield schematic
-        if len(plain) > 1 and c not in waiting:
-            yield plain
-
-
-def _acyclic(classes: dict[Variable, _Class]) -> bool:
+def _acyclic(distinct: list[_Class], classes: dict[Variable, _Class]) -> bool:
     """Does no class reach itself through the classes of the variables in
     its sides?  ``graphlib`` orders the graph from each class to those
     classes, or raises ``CycleError``; a self-loop is a cycle.  A graph
     without edges needs no sorter."""
     graph = {
         c: edges
-        for c in dict.fromkeys(classes.values())
+        for c in distinct
         if (edges := {classes[v] for t in c.sides for v in t.vars if v in classes})
     }
     if not graph:

@@ -59,7 +59,9 @@ def bounded_check(
         report.per_instance_sizes.append(
             InstanceSize(
                 nodes=nodes,
-                max_depth=max(max(e.lhs.depth, e.rhs.depth) for e in eqs),
+                max_depth=max(
+                    (max(e.lhs.depth, e.rhs.depth) for e in eqs), default=0
+                ),
                 var_count=len(eq_vars(eqs)),
             )
         )

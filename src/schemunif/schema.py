@@ -10,17 +10,17 @@ schema variables (normalization, one identity test per rule, as terms are
 interned), and a uniform-to-primitive rewrite of the schema alone, which
 the solver does not use.
 
-A ``Schema`` builds its symbol -> base table, its domain and its recursion
-offsets once, when it is made, so lookups are dict and set operations.  It
-also memoizes ``reachable_by_unfolding``, which depends only on the two
-symbols and the index difference.
+A ``Schema`` builds its symbol -> base table and its domain once, when it
+is made, so lookups are dict and set operations.  It also memoizes
+``reachable_by_unfolding``, which depends only on the two symbols and the
+index difference; each answer is one search over the variables that
+bindings emit, from the queried schema variable on.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -53,9 +53,6 @@ class Schema:
     rules: tuple[tuple[str, Term], ...]
     domain: frozenset[str] = field(init=False, repr=False, compare=False)
     _bases: dict[str, Term] = field(init=False, repr=False, compare=False)
-    _offsets: dict[str, frozenset[int]] = field(
-        init=False, repr=False, compare=False
-    )
     _reach: dict[tuple[str, int, str], bool] = field(
         init=False, repr=False, compare=False
     )
@@ -66,10 +63,6 @@ class Schema:
             bases.setdefault(s, t)
         _set(self, "_bases", bases)
         _set(self, "domain", frozenset(bases))
-        _set(self, "_offsets", {
-            s: frozenset(v.index for v in variables(t) if v.symbol == s)
-            for s, t in bases.items()
-        })
         _set(self, "_reach", {})
 
     @staticmethod
@@ -98,15 +91,16 @@ class Schema:
         return shift(v.index, self.base(v.symbol))
 
     def recursion_offsets(self, symbol: str) -> frozenset[int]:
-        self.base(symbol)  # SchemaError for an unknown symbol
-        return self._offsets[symbol]
+        return frozenset(
+            v.index for v in variables(self.base(symbol)) if v.symbol == symbol
+        )
 
     def reachable_by_unfolding(self, y: Variable, z: Variable) -> bool:
         """Does y occur in some k-fold unfolding of the schema variable z?
 
         The answer depends only on y's symbol, z's symbol and the index
         difference idx(y) - idx(z) (it is False when that is negative), so
-        it is computed once per such triple and then looked up.
+        it is searched for once per such triple and then looked up.
         """
         d = y.index - z.index
         if d < 0:
@@ -179,46 +173,24 @@ class Schema:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)
 
 
-def _semigroup_reachable(delta: int, generators: Iterable[int]) -> bool:
-    """Is delta a sum (with repetition) of the given positive generators?"""
-    gens = sorted({g for g in generators if g > 0})
-    if delta == 0:
-        return True
-    if not gens:
-        return False
-    can = [True] + [False] * delta
-    for n in range(1, delta + 1):
-        can[n] = any(g <= n and can[n - g] for g in gens)
-    return can[delta]
-
-
 def _reachable(y: Variable, z: Variable, schema: Schema) -> bool:
-    """Walks the schema variables reachable from z (indices only grow, and
-    only indices <= idx(y) can still contribute an occurrence of y),
-    checking at each of them whether one more unfolding emits y directly."""
+    """Searches the variables of the bindings of z and of every schema
+    variable they reach in turn; y is reachable when one of them is y.  A
+    binding never lowers an index, so a variable above idx(y) leads to no
+    occurrence of y and is not searched."""
     seen: set[Variable] = set()
-    frontier = deque([z])
-    while frontier:
-        w = frontier.popleft()
+    todo = [z]
+    while todo:
+        w = todo.pop()
         if w in seen or not schema.contains(w):
             continue
         seen.add(w)
-        base = schema.base(w.symbol)
-        own = schema.recursion_offsets(w.symbol)
-        for v in variables(base):
-            if v.symbol == y.symbol:
-                # Parameter occurrence at offset v.index, re-emitted after
-                # every self-recursion round of w.
-                delta = y.index - w.index - v.index
-                if delta >= 0 and _semigroup_reachable(delta, own):
-                    return True
-            if v.symbol in schema.domain and v.symbol != w.symbol:
-                nxt = Variable(v.symbol, w.index + v.index)
-                if nxt.index <= y.index:
-                    frontier.append(nxt)
-        # Self-recursion with offset 0 re-emits the same variables; positive
-        # offsets are folded into the semigroup test above, so no need to
-        # enqueue shifted copies of w itself.
+        for v in variables(schema.base(w.symbol)):
+            u = Variable(v.symbol, v.index + w.index)  # a variable of binding(w)
+            if u == y:
+                return True
+            if u.index <= y.index:
+                todo.append(u)
     return False
 
 

@@ -321,7 +321,10 @@ def reference_normalize(t, schema):
 
 # The engine's earlier per-candidate eligibility, kept as the reference: it
 # rescans the store for every candidate and walks the schema for every store
-# schema variable, with no index and no memo.
+# schema variable, with no memo.  Its reachability is the earlier semigroup
+# walk: a search across rules that tests each parameter occurrence against
+# the sums of the rule's own recursion offsets.  The engine searches the
+# variables of the bindings instead, so this reference is independent of it.
 
 
 def _semigroup_reachable(delta, generators):

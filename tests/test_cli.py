@@ -87,6 +87,17 @@ def test_symbolic_index_rejected_in_problem_section():
         )
 
 
+def test_plain_natural_rejected_in_schema_rule(tmp_path, capsys):
+    text = "schema:\n  L[i] -> f(X[3], L[i+1]);\nproblem:\n  L[0] = Y[0];"
+    with pytest.raises(ParseError, match=r"index of the form i or i\+N") as info:
+        parse_problem(text)
+    assert (info.value.line, info.value.column) == (2, 15)
+    bad = tmp_path / "natural.prob"
+    bad.write_text(text)
+    assert main([str(bad)]) == 3
+    assert "line 2, column 15" in capsys.readouterr().err
+
+
 def test_non_uniform_schema_rejected():
     with pytest.raises(ParseError) as info:
         parse_problem(

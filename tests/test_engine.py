@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from schemunif import schema as schema_module
 from schemunif import solver
 from schemunif.cli import parse_problem
-from schemunif.engine import StoreIndex, store_eligible, th_unif
+from schemunif.engine import store_eligible, th_unif
 from schemunif.schema import Schema
 from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
 from schemunif.terms import App, Var, Variable, app, var
-from schemunif.unify import Equation, Substitution, unify
+from schemunif.unify import Equation, Substitution, eq_vars, unify
 
 from .conftest import (
     EX_BASE,
@@ -148,7 +148,7 @@ def test_reachability_crosses_rules():
 
 
 def eligible(x, store, schema):
-    return store_eligible(x.var, StoreIndex.of(store, schema), schema)
+    return store_eligible(x.var, eq_vars(store), schema)
 
 
 def test_store_eligible_schema_variable_binding():
@@ -182,7 +182,7 @@ def test_store_eligible_via_future_unfolding():
     assert not eligible(X(1), store, schema)
 
 
-# -- the store index and the reachability memo against the references ------
+# -- store eligibility and the reachability memo against the references ----
 
 DIFF_SYMBOLS = ["L", "M", "X", "Y", "Z"]
 DIFF_RULES = [
@@ -213,11 +213,11 @@ def test_store_index_matches_reference_eligibility(rules, store, candidates):
     """For a plain variable x, store_eligible judges every binding of x as
     the reference judges x = a: a constant rhs is bound by no store."""
     schema = Schema.of(rules)
-    index = StoreIndex.of(store, schema)
+    store_vars = eq_vars(store)
     for x in candidates:
         if schema.contains(x.var):
             continue
-        assert store_eligible(x.var, index, schema) == reference_store_eligible(
+        assert store_eligible(x.var, store_vars, schema) == reference_store_eligible(
             Equation(x, app("a")), store, schema
         ), (str(schema), sorted(map(str, store)), str(x))
 
@@ -228,6 +228,12 @@ def test_memoized_reachability_matches_reference():
         {"L": GOLDEN_BASE},
         {"L": f(X(0), L(0))},
         {"L": f(f(X(1), X(3)), L(3))},
+        # An offset-0 chain across rules.
+        {"L": f(X(0), var("M", 0)), "M": app("g", Z(1), var("M", 0))},
+        # A rule reaching an offset-2 recursion.
+        {"L": f(X(0), var("M", 1)), "M": f(Z(0), var("M", 2))},
+        # A rule reaching a ground base.
+        {"L": f(X(0), var("M", 1)), "M": app("a")},
     ]
     for rules in all_rules:
         schema = Schema.of(rules)

@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+module-level private name of the package goes unread.
 
 A name counts as used when it is read anywhere in the module, as a plain
 name or as the root of an attribute chain.  An import line marked
 ``# noqa: F401`` is exempt (a name kept for a caller outside the module).
+A private name (``def _f``, ``class _C``, ``_X = ...`` at module level)
+counts as read when some module of the package loads it as a plain name or
+an attribute, outside its own definition.
 """
 
 import ast
@@ -45,3 +49,53 @@ def test_the_check_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _defined(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_private_names(sources):
+    """The module-level private names of sources (module -> text) that no
+    module reads outside the definition, as (module, name) pairs."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = [n for n in _defined(node) if n.startswith("_")]
+            defined.update((n, module) for n in own if not n.startswith("__"))
+            read |= {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                or isinstance(n, ast.Attribute)
+            } - set(own)
+    return sorted((m, n) for n, m in defined.items() if n not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    a = (
+        "_T: int = 1\n_U = _T\n"
+        "def _walk(n):\n    return n and _walk(n - 1)\n"
+        "class _C:\n    pass\n"
+        "def _g():\n    return _C()\n"
+        "def __getattr__(name):\n    return name\n"
+    )
+    b = "from . import a\n\nx = a._g()\n"
+    assert unread_private_names({"a": a, "b": b}) == [("a", "_U"), ("a", "_walk")]
+
+
+def test_no_unread_private_names():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unread_private_names(sources) == []

@@ -1,6 +1,11 @@
-from schemunif.oracle import DEFAULT_N, DEFAULT_NODE_CAP, bounded_check
+from schemunif.oracle import (
+    DEFAULT_N,
+    DEFAULT_NODE_CAP,
+    InstanceSize,
+    bounded_check,
+)
 from schemunif.schema import Schema
-from schemunif.solver import SchematicProblem
+from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
 from schemunif.terms import app
 
 from .conftest import L, X, Y, eq, f
@@ -83,3 +88,15 @@ def test_oracle_matches_solver_on_golden(golden_problem, golden_run):
     report = bounded_check(golden_problem, n=n)
     assert report.ok
     assert report.checked_up_to == n
+
+
+def test_empty_problem_has_depth_zero():
+    problem = SchematicProblem(frozenset(), Schema.of({"L": f(X(0), L(1))}))
+    report = bounded_check(problem, n=3)
+    assert report.ok and report.checked_up_to == 3
+    assert all(
+        s == InstanceSize(nodes=0, max_depth=0, var_count=0)
+        for s in report.per_instance_sizes
+    )
+    outcome = u_sch_unif(problem).outcome
+    assert isinstance(outcome, CycleFound) and (outcome.i, outcome.j) == (1, 0)
