@@ -460,6 +460,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 3
     try:
         parsed = parse_problem(text)
     except ParseError as exc:

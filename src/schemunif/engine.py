@@ -33,9 +33,13 @@ x occurs in the store.  Otherwise a plain member's bindings move once it
 occurs in the store or is reachable from a schema variable of the store
 (conditions 2 and 3), and its x = y then put the others in the store.  So
 a class's plain members move together: each round judges those of the
-waiting classes against the store's variables at the start of the round
-(one set, built after the first pass and grown by each round's moved
-bindings) and moves every class with an eligible member.  Eligibility
+waiting classes by membership in one eligible set as it stood at the
+start of the round, and moves every class with an eligible member.  The
+set holds the store's variables and what unfolding its schema variables
+reaches (``Schema.unfold_into``), up to the largest index of a waiting
+plain variable, as unfolding never lowers an index.  It is built after
+the first pass, and each moved class adds its variables and their
+unfoldings; a variable already in it is not searched again.  Eligibility
 only grows with the store, so this reaches the store that judging each
 equation reaches: the least one closed under the conditions.
 
@@ -85,18 +89,11 @@ class FinalConfiguration:
         return self.verdict == "ok"
 
 
-def store_eligible(
-    x: Variable, store_vars: AbstractSet[Variable], schema: Schema
-) -> bool:
-    """May the bindings of x, a variable outside the schema, move into a
-    store with the variables store_vars?  Condition 2: x occurs in the
-    store; condition 3: x is reachable from a schema variable of the store
-    by unfolding."""
-    return x in store_vars or any(
-        schema.reachable_by_unfolding(x, z)
-        for z in store_vars
-        if z.symbol in schema.domain
-    )
+def store_eligible(x: Variable, eligible: AbstractSet[Variable]) -> bool:
+    """May the bindings of x, a variable outside the schema, move into the
+    store?  eligible holds the store's variables (condition 2) and what
+    unfolding its schema variables reaches (condition 3)."""
+    return x in eligible
 
 
 class _Class:
@@ -179,12 +176,16 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         return FinalConfiguration(
             frozenset(), frozenset(store | active), "clash", clash
         )
-    store_vars = set(eq_vars(store))
+    # No waiting variable lies above bound, and unfolding never lowers an
+    # index, so the search for condition 3 stops there.
+    bound = max((x.index for plain, _ in waiting.values() for x in plain), default=-1)
+    eligible: set[Variable] = set()
+    schema.unfold_into(eligible, eq_vars(store), bound)
     while waiting:
         ready = [
             c
             for c, (plain, _) in waiting.items()
-            if any(store_eligible(x, store_vars, schema) for x in plain)
+            if any(store_eligible(x, eligible) for x in plain)
         ]
         if not ready:
             break
@@ -192,7 +193,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             plain, moving = waiting.pop(c)
             store.update(moving)
             active.difference_update(moving)
-            store_vars.update(eq_vars(moving))
+            schema.unfold_into(eligible, eq_vars(moving), bound)
             orbits.append(frozenset(plain))
 
     verdict, offending = "ok", None

@@ -4,17 +4,17 @@ A schema finitely presents the infinite binding family
 ``{X[j] -> shift(j, base(X)) | j >= 0}`` by storing one base term per domain
 symbol at shift 0.  This module covers classification (not-simple / simple /
 uniform / primitive), one unfolding step of a set of variables, iterated
-instantiation (it stops once a step has nothing left to unfold),
-reachability of a variable by unfolding, folding of unfoldings back to
-schema variables (normalization, one identity test per rule, as terms are
-interned), and a uniform-to-primitive rewrite of the schema alone, which
-the solver does not use.
+instantiation (it stops once a step has nothing left to unfold), the
+variables that unfolding a set of schema variables reaches up to an index
+bound, folding of unfoldings back to schema variables (normalization, one
+identity test per rule, as terms are interned), and a uniform-to-primitive
+rewrite of the schema alone, which the solver does not use.
 
 A ``Schema`` builds its symbol -> base table and its domain once, when it
-is made, so lookups are dict and set operations.  It also memoizes
-``reachable_by_unfolding``, which depends only on the two symbols and the
-index difference; each answer is one search over the variables that
-bindings emit, from the queried schema variable on.
+is made, so lookups are dict and set operations; nothing in it changes
+after.  The reachability search keeps no memo: it grows a set that its
+caller owns (the engine keeps one per call) and keeps closed under
+unfolding, so it never searches on from a variable already in it.
 """
 
 from __future__ import annotations
@@ -47,15 +47,12 @@ class Schema:
     """Finite map from domain symbol to its shift-0 base term.
 
     Only ``rules`` is compared and hashed; the other fields are derived
-    from it when the schema is made (``_reach`` fills as it is queried).
+    from it when the schema is made and never change after.
     """
 
     rules: tuple[tuple[str, Term], ...]
     domain: frozenset[str] = field(init=False, repr=False, compare=False)
     _bases: dict[str, Term] = field(init=False, repr=False, compare=False)
-    _reach: dict[tuple[str, int, str], bool] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         bases: dict[str, Term] = {}
@@ -63,7 +60,6 @@ class Schema:
             bases.setdefault(s, t)
         _set(self, "_bases", bases)
         _set(self, "domain", frozenset(bases))
-        _set(self, "_reach", {})
 
     @staticmethod
     def of(rules: dict[str, Term] | Iterable[tuple[str, Term]]) -> "Schema":
@@ -95,23 +91,32 @@ class Schema:
             v.index for v in variables(self.base(symbol)) if v.symbol == symbol
         )
 
-    def reachable_by_unfolding(self, y: Variable, z: Variable) -> bool:
-        """Does y occur in some k-fold unfolding of the schema variable z?
+    def unfold_into(
+        self, reach: set[Variable], zs: Iterable[Variable], bound: int
+    ) -> None:
+        """Add zs to reach, and every variable of index at most bound that
+        unfolding them reaches.
 
-        The answer depends only on y's symbol, z's symbol and the index
-        difference idx(y) - idx(z) (it is False when that is negative), so
-        it is searched for once per such triple and then looked up.
+        reach is kept closed under unfolding up to bound, so a variable
+        already in it is not searched again: what it reaches is there too.
+        The search follows the variables of each binding; a binding never
+        lowers an index, so none above bound leads to one at or below it.
         """
-        d = y.index - z.index
-        if d < 0:
-            return False
-        key = (y.symbol, d, z.symbol)
-        hit = self._reach.get(key)
-        if hit is None:
-            hit = self._reach[key] = _reachable(
-                Variable(y.symbol, d), Variable(z.symbol, 0), self
-            )
-        return hit
+        bases = self._bases
+        todo = [z for z in zs if z not in reach]
+        reach.update(todo)
+        while todo:
+            w = todo.pop()
+            base = bases.get(w.symbol)
+            if base is None:  # not a schema variable
+                continue
+            for symbol, index in base.vars:
+                index += w.index  # a variable of binding(w)
+                if index <= bound:
+                    u = Variable(symbol, index)
+                    if u not in reach:
+                        reach.add(u)
+                        todo.append(u)
 
     def classify(self) -> SchemaClass:
         dom = self.domain
@@ -171,27 +176,6 @@ class Schema:
 
     def __str__(self) -> str:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)
-
-
-def _reachable(y: Variable, z: Variable, schema: Schema) -> bool:
-    """Searches the variables of the bindings of z and of every schema
-    variable they reach in turn; y is reachable when one of them is y.  A
-    binding never lowers an index, so a variable above idx(y) leads to no
-    occurrence of y and is not searched."""
-    seen: set[Variable] = set()
-    todo = [z]
-    while todo:
-        w = todo.pop()
-        if w in seen or not schema.contains(w):
-            continue
-        seen.add(w)
-        for v in variables(schema.base(w.symbol)):
-            u = Variable(v.symbol, v.index + w.index)  # a variable of binding(w)
-            if u == y:
-                return True
-            if u.index <= y.index:
-                todo.append(u)
-    return False
 
 
 # -- uniform -> primitive rewrite -------------------------------------------

@@ -4,6 +4,7 @@ import sys
 from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from schemunif.cli import parse_problem
@@ -189,17 +190,8 @@ def uniform_problems(max_offset=3):
     """Single-rule uniform problems: L[i] recurses at offset 0..max_offset
     around parameters X[i+k]; one equation binds some L[k], and an optional
     second one relates two terms over L, X and Y."""
-    fx = st.sampled_from([("f", 2), ("g", 1)])
-
     def base_of(shape, k1, k2, offset):
-        rec, p1, p2 = var("L", offset), var("X", k1), var("X", k2)
-        return [
-            f(p1, rec),
-            f(f(p1, p2), rec),
-            f(p1, f(p2, rec)),
-            f(f(p1, app("g", p2)), rec),
-            f(rec, app("g", p1)),
-        ][shape]
+        return shaped_base(shape, var("X", k1), var("X", k2), var("L", offset))
 
     leaves = st.builds(
         var, st.sampled_from(["L", "X", "Y"]), st.integers(0, 3)
@@ -228,6 +220,85 @@ def uniform_problems(max_offset=3):
         st.lists(st.builds(Equation, side, side), max_size=1),
     )
     return st.builds(SchematicProblem, eqs, schema)
+
+
+def shaped_base(shape, p1, p2, slot):
+    """One of the five base shapes of the generated problems, around the
+    parameters p1, p2 and the schema variable slot."""
+    return [
+        f(p1, slot),
+        f(f(p1, p2), slot),
+        f(p1, f(p2, slot)),
+        f(f(p1, app("g", p2)), slot),
+        f(slot, app("g", p1)),
+    ][shape]
+
+
+def multi_rule_problems():
+    """Uniform problems of two or three rules S[i] -> shape(P[i+a], P[i+b],
+    T[i+o]) with a, b in 0..3 and the shapes of uniform_problems.  T is S
+    itself with o in 1..3, or another rule with o in 0..3, so unfolding
+    crosses rules.  One to three equations S[n] = side and an optional
+    side = side follow, each side at most two deep over f, g, a and the
+    variables."""
+    return st.one_of(
+        _multi_rule_problems(["L", "M"]), _multi_rule_problems(["L", "M", "N"])
+    )
+
+
+def _multi_rule_problems(rules):
+    index = st.integers(0, 3)
+    side = st.builds(var, st.sampled_from(rules + ["X", "Y", "Z"]), index)
+    side = side | st.just(app("a"))
+    for _ in range(2):  # at most two deep
+        side = (
+            side | st.builds(f, side, side) | st.builds(lambda t: app("g", t), side)
+        )
+    ties = st.lists(
+        st.builds(Equation, st.builds(var, st.sampled_from(rules), index), side),
+        min_size=1,
+        max_size=3,
+    )
+    extra = st.lists(st.builds(Equation, side, side), max_size=1)
+
+    @st.composite
+    def problems(draw):
+        bases = {}
+        for s in rules:
+            p = draw(st.sampled_from(["X", "Z"]))
+            target = draw(st.sampled_from(rules))
+            offset = draw(st.integers(1 if target == s else 0, 3))
+            bases[s] = shaped_base(
+                draw(st.integers(0, 4)),
+                var(p, draw(index)),
+                var(p, draw(index)),
+                var(target, offset),
+            )
+        eqs = frozenset(draw(ties) + draw(extra))
+        return SchematicProblem(eqs, Schema.of(bases))
+
+    return problems()
+
+
+def derandomized_examples(strategy, n):
+    """The first n examples that hypothesis generates from strategy with a
+    fixed seed: the same list on every run of one hypothesis version."""
+    out = []
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=n,
+        phases=[Phase.generate],
+        deadline=None,
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(strategy)
+    def collect(x):
+        out.append(x)
+
+    collect()
+    return out
 
 
 # -- reference unifier -------------------------------------------------------

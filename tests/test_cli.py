@@ -207,6 +207,14 @@ def test_main_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_main_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.prob"
+    bad.write_bytes(b"schema: L[i] -> f(X[i], L[i+1]); problem: L[0] = \xff;")
+    code = main([str(bad)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_main_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("schema: problem:")

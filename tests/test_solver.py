@@ -29,7 +29,19 @@ from schemunif.solver import (
 from schemunif.terms import Var, depth, shift, var
 from schemunif.unify import Substitution, eq_vars
 
-from .conftest import EX_BASE, L, X, Y, Z, eq, f, h, subterms, uniform_problems
+from .conftest import (
+    EX_BASE,
+    L,
+    X,
+    Y,
+    Z,
+    eq,
+    f,
+    h,
+    multi_rule_problems,
+    subterms,
+    uniform_problems,
+)
 
 
 def ex_schema():
@@ -459,6 +471,24 @@ def test_solver_agrees_with_oracle_on_uniform_problems(problem):
     unfolds ahead of the instance, so an irr-cycle at i may show in the
     oracle a few instances later; it must show at i or later, and by
     i + 5."""
+    assert_agrees_with_oracle(problem)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(multi_rule_problems())
+def test_solver_agrees_with_oracle_on_multi_rule_problems(problem):
+    """As on one rule, with two or three rules that may reach each other
+    (store eligibility by condition 3 across rules); a give-up is allowed."""
+    assert_agrees_with_oracle(problem)
+
+
+def assert_agrees_with_oracle(problem):
     out = u_sch_unif(problem, cap=30).outcome
     if isinstance(out, CycleFound):
         report = bounded_check(problem, n=out.i + 2 * (out.i - out.j))
