@@ -14,6 +14,10 @@ Lowercase identifiers are function symbols, uppercase-initial identifiers
 are variable symbols, and function arities must be consistent file-wide.
 A term may be at most MAX_TERM_DEPTH deep (a variable or constant has depth
 1); deeper input is a ParseError.
+
+Comment lines are blanked first, so that offsets into the rest keep the
+file's line numbers; ``_Parser`` scans the rest once, into tokens that
+carry their offset, and works out a line and column only for an error.
 """
 
 from __future__ import annotations
@@ -24,16 +28,15 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .oracle import DEFAULT_N, DEFAULT_NODE_CAP, OracleReport, bounded_check
-from .schema import Schema, SchemaClass
+from .schema import Schema, SchemaClass, SchematicProblem
 from .solver import (
     CycleFound,
     Exhausted,
     InstanceRecord,
     NotUnifiable,
-    SchematicProblem,
     SolverRun,
     StabilityViolation,
     u_sch_unif,
@@ -68,71 +71,63 @@ _TOKEN_RE = re.compile(
   | (?P<nat>\d+)
   | (?P<fun>[a-z][A-Za-z0-9_@]*)
   | (?P<sym>[A-Z][A-Za-z0-9_@]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "arrow" | "punct" | "nat" | "fun" | "sym" | "eof"
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    nesting = 0  # open argument lists; a term is one deeper than its nesting
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if chunk == "(":
-            nesting += 1
-            if nesting >= MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"term nested deeper than {MAX_TERM_DEPTH}", line, col
-                )
-        elif chunk == ")":
-            nesting -= 1
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    pos: int  # offset in the parsed text
 
 
 class _Parser:
-    """Recursive descent over the token list; one instance per file."""
+    """Recursive descent over the tokens of one text, scanned once up front.
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    A token keeps only its offset; ``fail`` turns an offset into the line
+    and column of the ParseError, and every ParseError is raised through it.
+    ``term`` checks MAX_TERM_DEPTH as an argument list opens, where terms
+    nest.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                self.fail(f"unexpected character {m.group()!r}", m.start())
+            if kind != "ws":
+                self.tokens.append(_Token(kind, m.group(), m.start()))
+        self.tokens.append(_Token("eof", "", len(text)))
+        self.at = 0  # index of the next token
         self.arities: dict[str, int] = {}
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self.tokens[self.at]
 
     def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+        """Consume the next token; never called on the end of input."""
+        self.at += 1
+        return self.tokens[self.at - 1]
 
-    def fail(self, message: str) -> None:
-        t = self.peek()
-        raise ParseError(message, t.line, t.column)
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is text.  No two kinds share a
+        text, so the text alone names a mark (``+``) or a word (``i``)."""
+        if self.peek().text != text:
+            return False
+        self.next()
+        return True
+
+    def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
+        """Raise at offset pos, by default the next token's."""
+        if pos is None:
+            pos = self.peek().pos
+        line = self.text.count("\n", 0, pos) + 1
+        column = pos - self.text.rfind("\n", 0, pos)
+        raise ParseError(message, line, column)
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Token:
         t = self.peek()
@@ -144,49 +139,38 @@ class _Parser:
     def index(self, schematic: bool) -> int:
         """The part between brackets: i or i+c in a schema rule, a natural
         elsewhere."""
-        t = self.peek()
         if not schematic:
-            if t.kind != "nat":
+            if self.peek().kind != "nat":
                 self.fail("expected a natural-number index")
             return int(self.next().text)
-        if t.kind != "fun" or t.text != "i":
+        if not self.accept("i"):
             self.fail("expected index of the form i or i+N")
-        self.next()
-        if self.peek().kind == "punct" and self.peek().text == "+":
-            self.next()
-            return int(self.expect("nat").text)
-        return 0
+        return int(self.expect("nat").text) if self.accept("+") else 0
 
-    def variable(self, schematic: bool) -> Term:
-        sym = self.expect("sym").text
-        self.expect("punct", "[")
-        idx = self.index(schematic)
-        self.expect("punct", "]")
-        return var(sym, idx)
-
-    def term(self, schematic: bool) -> Term:
-        t = self.peek()
-        if t.kind == "sym":
-            return self.variable(schematic)
+    def term(self, schematic: bool, depth: int = 1) -> Term:
+        if self.peek().kind == "sym":
+            sym = self.next().text
+            self.expect("punct", "[")
+            idx = self.index(schematic)
+            self.expect("punct", "]")
+            return var(sym, idx)
         head_tok = self.expect("fun")
         head = head_tok.text
         args: list[Term] = []
-        if self.peek().kind == "punct" and self.peek().text == "(":
+        if self.peek().text == "(":
+            if depth >= MAX_TERM_DEPTH:
+                self.fail(f"term nested deeper than {MAX_TERM_DEPTH}")
             self.next()
-            args.append(self.term(schematic))
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                args.append(self.term(schematic))
+            args.append(self.term(schematic, depth + 1))
+            while self.accept(","):
+                args.append(self.term(schematic, depth + 1))
             self.expect("punct", ")")
-        known = self.arities.get(head)
-        if known is None:
-            self.arities[head] = len(args)
-        elif known != len(args):
-            raise ParseError(
+        known = self.arities.setdefault(head, len(args))
+        if known != len(args):
+            self.fail(
                 f"function {head!r} used with arity {len(args)}"
                 f" but previously with arity {known}",
-                head_tok.line,
-                head_tok.column,
+                head_tok.pos,
             )
         return App(head, tuple(args))
 
@@ -204,34 +188,27 @@ def parse_problem(text: str) -> ParsedProblem:
             kept_lines.append("")  # keep line numbering intact
         else:
             kept_lines.append(raw)
-    p = _Parser(_tokenize("\n".join(kept_lines)))
+    p = _Parser("\n".join(kept_lines))
 
     def header(word: str) -> None:
-        tok = p.peek()
-        if tok.kind != "fun" or tok.text != word:
+        if not p.accept(word):
             p.fail(f"expected section header {word!r}")
-        p.next()
         p.expect("punct", ":")
 
     header("schema")
     rules: dict[str, Term] = {}
     while p.peek().kind == "sym":
-        lhs_tok = p.peek()
-        lhs = p.expect("sym").text
+        lhs_tok = p.next()
         p.expect("punct", "[")
-        idx_tok = p.peek()
-        if not (idx_tok.kind == "fun" and idx_tok.text == "i"):
+        if not p.accept("i"):
             p.fail("schema rule index must be the symbolic index i")
-        p.next()
         p.expect("punct", "]")
         p.expect("arrow")
         rhs = p.term(schematic=True)
         p.expect("punct", ";")
-        if lhs in rules:
-            raise ParseError(
-                f"duplicate schema rule for {lhs!r}", lhs_tok.line, lhs_tok.column
-            )
-        rules[lhs] = rhs
+        if lhs_tok.text in rules:
+            p.fail(f"duplicate schema rule for {lhs_tok.text!r}", lhs_tok.pos)
+        rules[lhs_tok.text] = rhs
     if not rules:
         p.fail("schema section needs at least one rule")
 
@@ -251,9 +228,7 @@ def parse_problem(text: str) -> ParsedProblem:
     schema = Schema.of(rules)
     cls = schema.classify()
     if cls not in (SchemaClass.UNIFORM, SchemaClass.PRIMITIVE):
-        raise ParseError(
-            f"schema is {cls.value}; only uniform schemas are supported", 1, 1
-        )
+        p.fail(f"schema is {cls.value}; only uniform schemas are supported", 0)
     return ParsedProblem(SchematicProblem(frozenset(eqs), schema), directives)
 
 
@@ -283,21 +258,21 @@ def _schematic_str(t: Term) -> str:
 # -- output -----------------------------------------------------------------
 
 
+# The verdict name and exit code of each outcome type.
+_VERDICTS = {
+    CycleFound: ("cycle", 0),
+    NotUnifiable: ("not-unifiable", 1),
+    StabilityViolation: ("stability-violation", 2),
+    Exhausted: ("exhausted", 2),
+}
+
+
 def verdict_name(outcome) -> str:
-    return {
-        CycleFound: "cycle",
-        NotUnifiable: "not-unifiable",
-        StabilityViolation: "stability-violation",
-        Exhausted: "exhausted",
-    }[type(outcome)]
+    return _VERDICTS[type(outcome)][0]
 
 
 def exit_code(outcome) -> int:
-    if isinstance(outcome, CycleFound):
-        return 0
-    if isinstance(outcome, NotUnifiable):
-        return 1
-    return 2
+    return _VERDICTS[type(outcome)][1]
 
 
 def outcome_line(outcome) -> str:
@@ -470,6 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
     run = u_sch_unif(parsed.problem, cap=args.max_iterations)
+    out = run.outcome
 
     report = None
     if args.oracle is not None:
@@ -477,25 +453,26 @@ def main(argv: Optional[list[str]] = None) -> int:
             parsed.problem, n=args.oracle, node_cap=args.oracle_node_cap
         )
         # A failing instance the oracle never reached is no disagreement.
-        if isinstance(run.outcome, CycleFound):
-            disagree = not report.ok
-        elif isinstance(run.outcome, NotUnifiable):
-            disagree = report.ok and report.checked_up_to >= run.outcome.instance
+        # An irr-cycle verdict at i unfolded up to its lookahead past i, so
+        # plain unification may first fail that many instances later.
+        if isinstance(out, NotUnifiable):
+            reach = out.instance + out.lookahead
+            disagree = report.ok and report.checked_up_to >= reach
         else:
-            disagree = False
+            disagree = isinstance(out, CycleFound) and not report.ok
         if disagree:
             print(
                 "warning: oracle disagreement:"
-                f" solver={verdict_name(run.outcome)}"
+                f" solver={verdict_name(out)}"
                 f" oracle_first_failure={report.first_failure}",
                 file=sys.stderr,
             )
 
     expected = parsed.directives.get("expect")
-    if expected is not None and expected != verdict_name(run.outcome):
+    if expected is not None and expected != verdict_name(out):
         print(
             f"warning: expected verdict {expected!r},"
-            f" got {verdict_name(run.outcome)!r}",
+            f" got {verdict_name(out)!r}",
             file=sys.stderr,
         )
 
@@ -504,12 +481,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     elif args.trace:
         sys.stdout.write(emit_trace(run))
     else:
-        if isinstance(run.outcome, CycleFound):
-            print(outcome_line(run.outcome))
-            print(f"mu: {_mapping_str(run.outcome.mapping)}")
-        else:
-            print(outcome_line(run.outcome))
-    return exit_code(run.outcome)
+        print(outcome_line(out))
+        if isinstance(out, CycleFound):
+            print(f"mu: {_mapping_str(out.mapping)}")
+    return exit_code(out)
 
 
 if __name__ == "__main__":

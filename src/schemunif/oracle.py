@@ -2,7 +2,8 @@
 
 Instantiates the problem directly for i = 0..N and runs plain unification on
 each instance.  Only a prefix check, but entirely independent of the
-schema-aware engine, which makes it a useful differential oracle.  Instances
+schema-aware engine and the solver (it loads neither), which makes it a
+useful differential oracle.  Instances
 are built as shared term DAGs and unified in triangular form, so the cost
 follows the distinct subterms of an instance; the node cap and the reported
 sizes count tree nodes, as if every shared subterm were written out.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .solver import SchematicProblem
+from .schema import SchematicProblem
 from .unify import UnifyFailure, eq_vars, unify
 
 DEFAULT_N = 25

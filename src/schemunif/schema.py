@@ -8,7 +8,9 @@ instantiation (it stops once a step has nothing left to unfold), the
 variables that unfolding a set of schema variables reaches up to an index
 bound, folding of unfoldings back to schema variables (normalization, one
 identity test per rule, as terms are interned), and a uniform-to-primitive
-rewrite of the schema alone, which the solver does not use.
+rewrite of the schema alone, which the solver does not use.  It also holds
+``SchematicProblem``, an equation set with its schema, so that the oracle
+needs nothing of the solver.
 
 A ``Schema`` builds its symbol -> base table and its domain once, when it
 is made, so lookups are dict and set operations; nothing in it changes
@@ -176,6 +178,18 @@ class Schema:
 
     def __str__(self) -> str:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)
+
+
+@dataclass(frozen=True)
+class SchematicProblem:
+    """Equations over schema and plain variables; instance i unfolds their
+    schema variables i times."""
+
+    equations: frozenset[Equation]
+    schema: Schema
+
+    def instance(self, i: int) -> frozenset[Equation]:
+        return self.schema.instance_eqs(self.equations, i)
 
 
 # -- uniform -> primitive rewrite -------------------------------------------

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .engine import th_unif
+from .schema import Schema, SchemaClass, SchematicProblem
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
-from .schema import Schema, SchemaClass, make_primitive  # noqa: F401
+from .schema import make_primitive  # noqa: F401
 from .terms import Term, Var, Variable
 from .unify import (
     Equation,
@@ -29,15 +30,6 @@ from .unify import (
     sorted_eqs,
     unify,
 )
-
-
-@dataclass(frozen=True)
-class SchematicProblem:
-    equations: frozenset[Equation]
-    schema: Schema
-
-    def instance(self, i: int) -> frozenset[Equation]:
-        return self.schema.instance_eqs(self.equations, i)
 
 
 @dataclass
@@ -71,6 +63,9 @@ class NotUnifiable:
     instance: int
     cause: str  # "clash" | "cycle" | "irr-cycle"
     equation: Optional[Equation] = None
+    # For an irr-cycle, the unfolding steps cycle_check took beyond the
+    # instance: plain unification first fails by instance + lookahead.
+    lookahead: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,22 +117,28 @@ def irrelevant_vars(
     )
 
 
+def unfolding_depth(irr: frozenset[Equation], schema: Schema) -> int:
+    """The unfolding steps that cover the index gap between the binding
+    left sides of a non-empty irrelevant set and its deepest recursion
+    variable, never below 0; 0 with no schema variable, as there is nothing
+    to unfold."""
+    i_max = max(e.lhs.var.index for e in irr)
+    r_min = min(
+        (v.index for v in eq_vars(irr) if schema.contains(v)), default=i_max + 1
+    )
+    return max(i_max - r_min + 1, 0)
+
+
 def cycle_check(
     irr: frozenset[Equation], schema: Schema
 ) -> Optional[UnifyFailure]:
     """Detect occurs cycles hidden in the irrelevant set by unfolding its
-    schema variables until the index gap between binding left sides and the
-    deepest recursion variable is covered, then unifying.  Every left side
-    is a variable outside the schema, so the schema variables unfolded are
-    those of the right sides."""
+    schema variables ``unfolding_depth`` times, then unifying.  Every left
+    side is a variable outside the schema, so the schema variables unfolded
+    are those of the right sides."""
     if not irr:
         return None
-    i_max = max(e.lhs.var.index for e in irr)
-    # With no schema variable the gap is 0: there is nothing to unfold.
-    r_min = min(
-        (v.index for v in eq_vars(irr) if schema.contains(v)), default=i_max + 1
-    )
-    result = unify(schema.instance_eqs(irr, i_max - r_min + 1))
+    result = unify(schema.instance_eqs(irr, unfolding_depth(irr, schema)))
     return result if isinstance(result, UnifyFailure) else None
 
 
@@ -314,8 +315,11 @@ def u_sch_unif(
         if i > 0:
             failure = cycle_check(irr, schema)
             if failure is not None:
+                g = unfolding_depth(irr, schema)
                 return SolverRun(
-                    NotUnifiable(i, "irr-cycle", failure.equation), records, stab
+                    NotUnifiable(i, "irr-cycle", failure.equation, g),
+                    records,
+                    stab,
                 )
         store_vars = eq_vars(fc.store)
         psi = step_substitution(store_vars, schema)

@@ -1,4 +1,4 @@
-"""A census of solver output beyond the corpus.
+"""A census of solver and parser output beyond the corpus.
 
 Run from the root of the repository::
 
@@ -7,22 +7,36 @@ Run from the root of the repository::
 It solves 2 000 derandomized ``uniform_problems(max_offset=3)`` examples
 and 1 500 ``multi_rule_problems()`` examples at cap 40 and prints the
 sha256 of ``to_json(run, None) + emit_trace(run)`` over all of them, in
-order.  A change that keeps every verdict, store and trace keeps the
-digest; the examples, and so the digest, are fixed for one hypothesis
-version.
+order.  It then parses 6 000 mutants of the ``problems/`` files, made
+from a fixed ``random.Random`` seed by inserting, deleting, replacing
+and repeating characters, and prints a second sha256 over each outcome:
+the parsed problem, printed back, or the ParseError's message, line and
+column.  A change that keeps every verdict, store and trace keeps the
+first digest, and one that keeps every parse result and error the
+second; the generated problems, and so the first digest, are fixed for
+one hypothesis version.
 """
 
 import hashlib
 import os
+import random
 import sys
 from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from schemunif.cli import emit_trace, to_json, verdict_name  # noqa: E402
+from schemunif.cli import (  # noqa: E402
+    ParseError,
+    emit_trace,
+    parse_problem,
+    print_problem,
+    to_json,
+    verdict_name,
+)
 from schemunif.solver import u_sch_unif  # noqa: E402
 
 from .conftest import (  # noqa: E402
+    corpus_paths,
     derandomized_examples,
     multi_rule_problems,
     uniform_problems,
@@ -33,6 +47,51 @@ SAMPLES = [
     ("uniform_problems(max_offset=3)", uniform_problems(max_offset=3), 2000),
     ("multi_rule_problems()", multi_rule_problems(), 1500),
 ]
+PARSE_SEED = 1
+PARSE_TEXTS = 6000
+# Token text, separators and comment marks, and characters no token
+# starts with.
+MUTANT_CHARS = "()[],;=+:->#$ \t\n\r\x0ciLXYfgh019é"
+
+
+def mutant(rng: random.Random, text: str) -> str:
+    """text after one to three random edits."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:  # insert a character
+            text = text[:k] + rng.choice(MUTANT_CHARS) + text[k:]
+        elif edit == 1:  # delete up to three characters
+            text = text[:k] + text[k + rng.randint(1, 3):]
+        elif edit == 2:  # replace a character
+            text = text[:k] + rng.choice(MUTANT_CHARS) + text[k + 1:]
+        else:  # repeat up to twenty characters
+            j = k + rng.randint(1, 20)
+            text = text[:j] + text[k:j] + text[j:]
+    return text
+
+
+def parse_census() -> None:
+    rng = random.Random(PARSE_SEED)
+    texts = []
+    for path in corpus_paths():
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    digest = hashlib.sha256()
+    tally = Counter()
+    for _ in range(PARSE_TEXTS):
+        text = mutant(rng, rng.choice(texts))
+        try:
+            outcome = print_problem(parse_problem(text))
+            tally["parsed"] += 1
+        except ParseError as exc:
+            outcome = f"error {exc.line}:{exc.column} {exc}"
+            tally["errors"] += 1
+            tally["past the depth limit"] += "nested deeper" in str(exc)
+        digest.update(outcome.encode() + b"\0")
+    counts = ", ".join(f"{k} {tally[k]}" for k in sorted(tally))
+    print(f"parse: {PARSE_TEXTS} mutated corpus texts ({counts})")
+    print(f"parse sha256 {digest.hexdigest()}")
 
 
 def main() -> None:
@@ -46,6 +105,7 @@ def main() -> None:
         tally = ", ".join(f"{v} {c}" for v, c in sorted(verdicts.items()))
         print(f"{name}: {sum(verdicts.values())} problems ({tally})")
     print(f"sha256 {digest.hexdigest()}")
+    parse_census()
 
 
 if __name__ == "__main__":

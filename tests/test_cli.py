@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from schemunif.solver import (
     StabilityViolation,
     u_sch_unif,
 )
-from .conftest import PROBLEM_DIR, SRC_PATH, L, X, Y, eq, h
+from .conftest import PROBLEM_DIR, SRC_PATH, L, X, Y, corpus_paths, eq, h
 
 EX7_TEXT = (
     "schema: L[i] -> h(h(X[i], h(X[i+1], X[i])), L[i+1]);"
@@ -98,12 +99,53 @@ def test_plain_natural_rejected_in_schema_rule(tmp_path, capsys):
     assert "line 2, column 15" in capsys.readouterr().err
 
 
+def test_unexpected_character_is_reported_where_it_is():
+    """A '$' put into a non-comment line of a corpus file is the error, at
+    its own line and column: at a random place, and on the file's last such
+    line after a tab (one column, like any character)."""
+    rng = random.Random(15)
+    for path in corpus_paths():
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        code = [
+            n for n, line in enumerate(lines)
+            if not line.lstrip().startswith("#")
+        ]
+        places = [(rng.choice(code), rng.choice(["", "\t"])) for _ in range(4)]
+        for n, indent in places + [(code[-1], "\t")]:
+            line = indent + lines[n]
+            k = rng.randint(len(indent), len(line))
+            text = "\n".join(
+                lines[:n] + [line[:k] + "$" + line[k:]] + lines[n + 1:]
+            )
+            with pytest.raises(ParseError) as info:
+                parse_problem(text)
+            assert str(info.value) == (
+                f"line {n + 1}, column {k + 1}: unexpected character '$'"
+            ), (path, n, k)
+
+
+def test_errors_found_after_a_term_point_at_its_symbol():
+    text = "schema:\n  L[i] -> f(X[i], L[i+1]);\nproblem:\n  f(Y[0]) = Y[1];"
+    with pytest.raises(ParseError, match="arity 1") as info:
+        parse_problem(text)
+    assert (info.value.line, info.value.column) == (4, 3)
+    text = (
+        "schema:\n  L[i] -> h(X[i], L[i+1]);\n\tL[i] -> h(X[i], X[i]);\n"
+        "problem: L[0] = Y[0];"
+    )
+    with pytest.raises(ParseError, match="duplicate schema rule") as info:
+        parse_problem(text)
+    assert (info.value.line, info.value.column) == (3, 2)
+
+
 def test_non_uniform_schema_rejected():
     with pytest.raises(ParseError) as info:
         parse_problem(
             "schema: L[i] -> h(L[i+1], L[i+2]); problem: L[0] = Y[0];"
         )
     assert "simple" in str(info.value)
+    assert (info.value.line, info.value.column) == (1, 1)  # the whole file
 
 
 def test_duplicate_rule_rejected():
@@ -280,7 +322,16 @@ def test_depth_limit_is_inclusive():
     parsed = parse_problem(text.format(_nested(MAX_TERM_DEPTH)))
     (e,) = parsed.problem.equations
     assert e.rhs.depth == MAX_TERM_DEPTH
-    with pytest.raises(ParseError, match="nested deeper than"):
+    deep = text.format(_nested(MAX_TERM_DEPTH + 1))
+    with pytest.raises(ParseError, match="nested deeper than") as info:
+        parse_problem(deep)
+    # At the '(' that opens the argument list one level too deep.
+    assert (info.value.line, info.value.column) == (1, deep.index("X[0]"))
+
+
+def test_an_earlier_error_comes_before_the_depth_limit():
+    text = "schema: L[i] -> f(X[i], L[i+1]) problem: L[0] = {};"
+    with pytest.raises(ParseError, match="expected ';'"):
         parse_problem(text.format(_nested(MAX_TERM_DEPTH + 1)))
 
 
@@ -307,6 +358,8 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
     [
         ("late_clash.prob", ["--oracle", "1"]),  # the verdict is at i=2
         ("occurs_direct.prob", ["--oracle", "8", "--oracle-node-cap", "3"]),
+        # irr-cycle at i=2 with lookahead 3; plain unification fails at 3
+        ("late_clash.prob", ["--oracle", "2"]),
     ],
 )
 def test_oracle_that_never_reached_the_failure_does_not_warn(

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from schemunif.oracle import (
     DEFAULT_N,
     DEFAULT_NODE_CAP,
@@ -8,7 +12,7 @@ from schemunif.schema import Schema
 from schemunif.solver import CycleFound, SchematicProblem, u_sch_unif
 from schemunif.terms import app
 
-from .conftest import L, X, Y, eq, f
+from .conftest import SRC_PATH, L, X, Y, eq, f
 
 
 def test_unifiable_problem_reports_no_failure(h_problem):
@@ -100,3 +104,23 @@ def test_empty_problem_has_depth_zero():
     )
     outcome = u_sch_unif(problem).outcome
     assert isinstance(outcome, CycleFound) and (outcome.i, outcome.j) == (1, 0)
+
+
+def test_oracle_loads_neither_solver_nor_engine():
+    """The oracle is independent of the decision procedure it checks."""
+    code = (
+        "import sys, schemunif.oracle; "
+        "print(' '.join(sorted(m for m in sys.modules if 'schemunif' in m)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "schemunif.oracle" in loaded
+    assert "schemunif.solver" not in loaded
+    assert "schemunif.engine" not in loaded

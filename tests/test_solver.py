@@ -470,7 +470,7 @@ def test_solver_agrees_with_oracle_on_uniform_problems(problem):
     a cycle, and the other way round).  The irrelevant-set check
     unfolds ahead of the instance, so an irr-cycle at i may show in the
     oracle a few instances later; it must show at i or later, and by
-    i + 5."""
+    i + lookahead, the unfolding steps that check took."""
     assert_agrees_with_oracle(problem)
 
 
@@ -495,7 +495,7 @@ def assert_agrees_with_oracle(problem):
         assert report.first_failure is None
     elif isinstance(out, NotUnifiable):
         if out.cause == "irr-cycle":
-            report = bounded_check(problem, n=out.instance + 5)
+            report = bounded_check(problem, n=out.instance + out.lookahead)
             assert report.first_failure is not None
             assert report.first_failure[0] >= out.instance
         else:
