@@ -68,7 +68,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<arrow>->)
   | (?P<punct>[()\[\],;=+:])
-  | (?P<nat>\d+)
+  | (?P<nat>[0-9]+)
   | (?P<fun>[a-z][A-Za-z0-9_@]*)
   | (?P<sym>[A-Z][A-Za-z0-9_@]*)
   | (?P<bad>.)
@@ -385,7 +385,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _natural(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a natural number, got {text!r}"
         )

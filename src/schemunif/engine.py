@@ -11,12 +11,16 @@ member variables and its distinct ``App`` right sides (its sides); a
 worklist, seeded once in ``Equation.key`` order, holds the pairs of terms
 still to equate: ``App = Var`` is oriented, ``App = App`` is decomposed
 (identical argument pairs skipped) or is the clash, ``Var = App`` adds a
-side to the variable's class, and ``Var = Var`` merges.  The saturated set
-is read off the classes once, at the end: x = y for distinct x, y of one
-class, x = t for every member x and side t of its class, and the input's
-reflexive equations.  That is the least fixpoint of the rules, built at
-the cost of its size, O(|C|^2) for a class C.  Three rules keep it
-exactly that set:
+side to the variable's class, and ``Var = Var`` merges.  Of an input pair
+and its flip, only the one first in key order is seeded: the worklist is
+a stack, so when the flip would come, the pair and everything it derived
+are done, and the flip would change no class, add no side and meet no
+new clash.  (The store holds both x = y and y = x, and the next instance
+gets both.)  The saturated set is the closure of the classes: x = y for
+distinct x, y of one class, x = t for every member x and side t of its
+class, and the input's reflexive equations.  That is the least fixpoint of
+the rules, O(|C|^2) equations for a class C.  Three rules keep it exactly
+that set:
 
 - every pair of sides that meet in a class is decomposed, not each side
   against one representative: ``Y0 = f(g(a), W0)``, ``Y0 = f(Y1, W0)``
@@ -43,6 +47,13 @@ unfoldings; a variable already in it is not searched again.  Eligibility
 only grows with the store, so this reaches the store that judging each
 equation reaches: the least one closed under the conditions.
 
+``th_unif`` returns the classes (``EngineClass``), each with the members
+split into schema and plain ones and a flag for whether its bindings are
+in the store.  It builds the store's closure pairs, the next instance's
+input, and reads the store's variables per class.  The active set, the
+rest of the saturated set, is built from the classes only when it is read
+(``FinalConfiguration.active``), or when the gate runs.
+
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
 same head and arity and arguments that saturation equated, so unification
@@ -66,27 +77,93 @@ moves.  An orbit of one member is dropped.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .schema import Schema
-from .terms import App, Var, Variable
-from .unify import Equation, UnifyFailure, eq_vars, sorted_eqs, unify
+from .terms import App, Term, Var, Variable
+from .unify import Equation, UnifyFailure, sorted_eqs, unify
+
+
+class EngineClass(NamedTuple):
+    """One class of the saturated set: its schema and plain members, its
+    distinct ``App`` sides in arrival order, the members the input binds to
+    themselves, and whether its bindings are in the store."""
+
+    schematic: tuple[Var, ...]
+    plain: tuple[Var, ...]
+    sides: tuple[App, ...]
+    loops: tuple[Var, ...]
+    stored: bool
+
+    def vars(self) -> set[Variable]:
+        """The variables of its bindings: its members and those of its
+        sides (every class has a binding)."""
+        return set().union(
+            *[x.vars for x in self.schematic + self.plain],
+            *[t.vars for t in self.sides],
+        )
+
+    def store_part(self) -> list[Equation]:
+        """The bindings the store holds once the class is stored: those of
+        its schema members but z = x for a plain x (condition 1), and all
+        of its plain members'."""
+        members = self.schematic + self.plain
+        return bindings(
+            self.schematic, self.schematic, self.sides, self.loops
+        ) + bindings(self.plain, members, self.sides, self.loops)
+
+
+def bindings(
+    xs: tuple[Var, ...],
+    ys: tuple[Var, ...],
+    rights: Iterable[Term],
+    loops: Iterable[Var],
+) -> list[Equation]:
+    """The saturated equations on the members xs of a class, all among ys:
+    x = y for every y of ys but x, x = r for every right side r, and x = x
+    for each x of xs among loops."""
+    if not xs:
+        return []
+    out = [Equation(x, r) for x in xs for r in rights]
+    if len(ys) > 1:
+        out += [Equation(x, y) for x in xs for y in ys if y is not x]
+    if loops:
+        out += [Equation(x, x) for x in xs if x in loops]
+    return out
 
 
 @dataclass(frozen=True)
 class FinalConfiguration:
     store: frozenset[Equation]
-    active: frozenset[Equation]
+    # The classes of the saturated set, in a fixed order; the active set is
+    # read off them.  Equality leaves them, and so the active set, out.
+    classes: tuple[EngineClass, ...] = field(compare=False)
     verdict: str  # "ok" | "clash" | "cycle"
     offending: Optional[Equation] = None
     # The variable-equality orbits of the store: the classes of variables x,
     # y with both x = y and y = x stored, each of at least two members.
     orbits: frozenset[frozenset[Variable]] = frozenset()
+    vars: frozenset[Variable] = frozenset()  # the store's variables
 
     @property
     def ok(self) -> bool:
         return self.verdict == "ok"
+
+    @cached_property
+    def active(self) -> frozenset[Equation]:
+        """The saturated set less the store, built on first read."""
+        return frozenset(_active(self.classes))
+
+
+def _active(classes: Iterable[EngineClass]) -> list[Equation]:
+    out: list[Equation] = []
+    for c in classes:
+        out += [Equation(z, x) for z in c.schematic for x in c.plain]
+        if not c.stored:
+            out += c.store_part()
+    return out
 
 
 def store_eligible(x: Variable, eligible: AbstractSet[Variable]) -> bool:
@@ -119,7 +196,12 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             c = classes[x.var] = _Class(x)
         return c
 
-    work = [(e.lhs, e.rhs) for e in sorted_eqs(eqs)]
+    work: list[tuple[Term, Term]] = []
+    seen: set[tuple[Term, Term]] = set()
+    for e in sorted_eqs(eqs):
+        if (e.rhs, e.lhs) not in seen:  # one orientation per input pair
+            seen.add(e)
+            work.append(e)
     work.reverse()
     while work:
         s, t = work.pop()
@@ -153,73 +235,70 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             classes[x.var] = c
         c.members.extend(d.members)
 
-    store: set[Equation] = set()
-    active: set[Equation] = set()
-    orbits: list[frozenset[Variable]] = []  # one-member ones dropped at the end
-    waiting: dict[_Class, tuple[list[Variable], list[Equation]]] = {}
     distinct = list(dict.fromkeys(classes.values()))
+    out: list[EngineClass] = []
     for c in distinct:
-        schematic = [x for x in c.members if schema.contains(x.var)]
-        plain = [x for x in c.members if not schema.contains(x.var)]
-        fixed = _bindings(schematic, schematic, c, loops)  # condition 1
-        moving = _bindings(plain, c.members, c, loops)
-        store.update(fixed)
-        active.update(Equation(z, x) for z in schematic for x in plain)
-        orbits.append(frozenset(x.var for x in schematic))
-        if fixed:
-            store.update(moving)
-            orbits.append(frozenset(x.var for x in plain))
-        else:
-            active.update(moving)
-            waiting[c] = ([x.var for x in plain], moving)
-    if clash is not None:  # all of the saturated set met so far is active
-        return FinalConfiguration(
-            frozenset(), frozenset(store | active), "clash", clash
+        schematic = tuple([x for x in c.members if schema.contains(x.var)])
+        sides = tuple(c.sides)
+        own_loops = tuple([x for x in c.members if x in loops]) if loops else ()
+        # Condition 1 stores a binding of a schema member, and so puts the
+        # plain members in the store too.  Nothing is stored past a clash.
+        fixed = len(schematic) > 1 or bool(
+            schematic and (sides or schematic[0] in own_loops)
         )
+        plain = tuple([x for x in c.members if not schema.contains(x.var)])
+        out.append(
+            EngineClass(schematic, plain, sides, own_loops, fixed and clash is None)
+        )
+    if clash is not None:  # all of the saturated set met so far is active
+        return FinalConfiguration(frozenset(), tuple(out), "clash", clash)
+
+    orbits: list[frozenset[Variable]] = []  # one-member ones dropped at the end
+    store_vars: set[Variable] = set()
+    waiting: dict[int, EngineClass] = {}  # by position in out
+    for k, c in enumerate(out):
+        orbits.append(frozenset([x.var for x in c.schematic]))
+        if c.stored:
+            store_vars.update(c.vars())
+            orbits.append(frozenset([x.var for x in c.plain]))
+        else:
+            waiting[k] = c
     # No waiting variable lies above bound, and unfolding never lowers an
     # index, so the search for condition 3 stops there.
-    bound = max((x.index for plain, _ in waiting.values() for x in plain), default=-1)
+    bound = max(
+        (x.var.index for c in waiting.values() for x in c.plain), default=-1
+    )
     eligible: set[Variable] = set()
-    schema.unfold_into(eligible, eq_vars(store), bound)
+    schema.unfold_into(eligible, store_vars, bound)
     while waiting:
         ready = [
-            c
-            for c, (plain, _) in waiting.items()
-            if any(store_eligible(x, eligible) for x in plain)
+            k
+            for k, c in waiting.items()
+            if any(store_eligible(x.var, eligible) for x in c.plain)
         ]
         if not ready:
             break
-        for c in ready:
-            plain, moving = waiting.pop(c)
-            store.update(moving)
-            active.difference_update(moving)
-            schema.unfold_into(eligible, eq_vars(moving), bound)
-            orbits.append(frozenset(plain))
+        for k in ready:
+            c = waiting.pop(k)
+            out[k] = c._replace(stored=True)
+            moved = c.vars()
+            store_vars.update(moved)
+            schema.unfold_into(eligible, moved, bound)
+            orbits.append(frozenset([x.var for x in c.plain]))
 
+    store = frozenset([e for c in out if c.stored for e in c.store_part()])
     verdict, offending = "ok", None
     if not _acyclic(distinct, classes):
-        gate = unify(list(store) + list(active))
+        gate = unify(list(store) + _active(out))
         if isinstance(gate, UnifyFailure):
             verdict, offending = gate.kind, gate.equation
     return FinalConfiguration(
-        frozenset(store),
-        frozenset(active),
+        store,
+        tuple(out),
         verdict,
         offending,
         frozenset(o for o in orbits if len(o) > 1),
-    )
-
-
-def _bindings(
-    xs: list[Var], ys: list[Var], c: _Class, loops: set[Var]
-) -> list[Equation]:
-    """The saturated equations on each x of xs, a member of class c: x = y
-    for every y of ys but x, x = t for every side t, and x = x if the input
-    has it."""
-    return (
-        [Equation(x, y) for x in xs for y in ys if y is not x]
-        + [Equation(x, t) for x in xs for t in c.sides]
-        + [Equation(x, x) for x in xs if x in loops]
+        frozenset(store_vars),
     )
 
 

@@ -8,6 +8,21 @@ relevant, and watches a stability metric.  Once past the stabilization
 index, it scans earlier instances for a variable renaming that equates the
 simplified stores — such a renaming proves the instance sequence loops, so
 every instance is unifiable.
+
+The irrelevant set is kept as groups, one per engine class left out of the
+store (a multiequation, after Martelli and Montanari): its plain members,
+its right sides and its looped members, standing for the closure pairs
+that bind every plain member to every other one and to every right side.
+Each instance applies its step to each carried right side once; the plain
+members are not schema variables, so the step fixes them.  The occurs
+check unifies one spanning set per group, the least plain member bound to
+each other member and to each right side: plain unification is transitive,
+so it has the unifiers of the closure, at O(|C|) equations for a class C
+in place of O(|C|^2).  The unfolding depth and the irrelevant variables
+are read off the groups, and ``InstanceRecord.irr``, the closure, is built
+only when it is read.  The store's closure pairs stay the next engine
+input, as the engine's saturation is not transitive through sides; its
+variables, and the normalized and simplified store, are read per class.
 """
 
 from __future__ import annotations
@@ -15,9 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional, Union
 
-from .engine import th_unif
+from .engine import EngineClass, bindings, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import make_primitive  # noqa: F401
@@ -32,6 +49,32 @@ from .unify import (
 )
 
 
+class IrrGroup(NamedTuple):
+    """The irrelevant bindings of one engine class left out of the store:
+    every plain member bound to every other one and to every right side (the
+    class's schema members and sides, unfolded as the instances go on), and
+    the looped members to themselves."""
+
+    plain: tuple[Var, ...]  # the least variable first
+    rights: tuple[Term, ...]
+    loops: tuple[Var, ...]
+
+    def closure(self) -> list[Equation]:
+        return bindings(self.plain, self.plain, self.rights, self.loops)
+
+
+class IrrelevantSet(NamedTuple):
+    """The irrelevant set of an instance, as groups, with what the solver
+    reads off them."""
+
+    groups: tuple[IrrGroup, ...]
+    # Each group's least plain member bound to each other member and right
+    # side: unifiable exactly when the closure of the groups is.
+    eqs: list[Equation]
+    vars: frozenset[Variable]  # its variables outside the schema
+    depth: int  # the unfolding steps cycle_check takes
+
+
 @dataclass
 class InstanceRecord:
     """Snapshot of one solver iteration, sufficient for the later j-scan
@@ -40,7 +83,7 @@ class InstanceRecord:
     i: int
     store: frozenset[Equation]
     vars: frozenset[Variable]  # the variables of the store
-    irr: frozenset[Equation]
+    groups: tuple[IrrGroup, ...]  # the irrelevant set
     step_sub: Substitution
     eq_sub: Substitution
     fr: frozenset[Variable]
@@ -49,6 +92,12 @@ class InstanceRecord:
     metric: int  # |vars(U_Theta(i))| - |dom(eq_sub)| - |irrV|
     metric_live: int  # |vars(NStore.eq_sub)| - |irrV|
     ratio: Optional[Fraction] = None
+
+    @cached_property
+    def irr(self) -> frozenset[Equation]:
+        """The irrelevant set: the closure of its groups, built on first
+        read."""
+        return frozenset(e for g in self.groups for e in g.closure())
 
 
 @dataclass(frozen=True)
@@ -96,49 +145,72 @@ def step_substitution(
     return schema.step(store_vars)
 
 
+_var = attrgetter("var")
+
+
 def irrelevant_set(
-    active: frozenset[Equation], schema: Schema
-) -> frozenset[Equation]:
-    """Active-set bindings whose left side is not a schema variable."""
-    return frozenset(
-        e
-        for e in active
-        if isinstance(e.lhs, Var) and not schema.contains(e.lhs.var)
-    )
+    carried: Iterable[IrrGroup],
+    psi: Substitution,
+    classes: Iterable[EngineClass],
+    schema: Schema,
+) -> IrrelevantSet:
+    """The irrelevant set of an instance: the groups carried from the
+    previous instance, with its step psi applied to their right sides (psi
+    unfolds only schema variables, so it fixes every plain member), then one
+    group for each class that the engine left out of the store.  One scan of
+    the groups reads off the rest.
 
+    Its depth, the unfolding steps that cover the index gap between the
+    plain members and the deepest schema variable, is i_max - r_min + 1
+    over the groups, never below 0, and 0 without a schema variable, as
+    there is nothing to unfold."""
+    groups = list(carried)
+    if psi and groups:
+        go = psi.applier()
+        for k, (plain, rights, loops) in enumerate(groups):
+            unfolded = tuple([go(r) for r in rights])
+            if unfolded != rights:
+                groups[k] = IrrGroup(plain, unfolded, loops)
+    for c in classes:
+        if c.plain and not c.stored:
+            plain = tuple(sorted(c.plain, key=_var))
+            groups.append(IrrGroup(plain, c.schematic + c.sides, c.loops))
+    eqs: list[Equation] = []
+    plain_vars: set[Variable] = set()
+    right_vars: set[Variable] = set()
+    for plain, rights, _ in groups:
+        x0 = plain[0]
+        for y in plain[1:]:
+            eqs.append(Equation(x0, y))
+        for r in rights:
+            eqs.append(Equation(x0, r))
+            right_vars |= r.vars
+        for x in plain:
+            plain_vars |= x.vars
+    i_max = max([v.index for v in plain_vars], default=-1)
+    r_min = None
+    for v in right_vars:
+        if v.symbol in schema.domain:
+            r_min = v.index if r_min is None else min(r_min, v.index)
+        else:
+            plain_vars.add(v)
+    depth = 0 if r_min is None else max(i_max - r_min + 1, 0)
+    return IrrelevantSet(tuple(groups), eqs, frozenset(plain_vars), depth)
 
-def irrelevant_vars(
-    irr: frozenset[Equation], store_vars: frozenset[Variable], schema: Schema
-) -> frozenset[Variable]:
-    return frozenset(
-        x
-        for x in eq_vars(irr)
-        if not schema.contains(x) and x not in store_vars
-    )
-
-
-def unfolding_depth(irr: frozenset[Equation], schema: Schema) -> int:
-    """The unfolding steps that cover the index gap between the binding
-    left sides of a non-empty irrelevant set and its deepest recursion
-    variable, never below 0; 0 with no schema variable, as there is nothing
-    to unfold."""
-    i_max = max(e.lhs.var.index for e in irr)
-    r_min = min(
-        (v.index for v in eq_vars(irr) if schema.contains(v)), default=i_max + 1
-    )
-    return max(i_max - r_min + 1, 0)
 
 
 def cycle_check(
-    irr: frozenset[Equation], schema: Schema
+    eqs: list[Equation], schema: Schema, depth: int
 ) -> Optional[UnifyFailure]:
-    """Detect occurs cycles hidden in the irrelevant set by unfolding its
-    schema variables ``unfolding_depth`` times, then unifying.  Every left
-    side is a variable outside the schema, so the schema variables unfolded
-    are those of the right sides."""
-    if not irr:
+    """Detect occurs cycles hidden in the irrelevant set by unfolding the
+    schema variables of its spanning equations depth times, then unifying.
+    Unification is transitive, so a group's spanning equations have the
+    unifiers of its closure.  Every left side is a variable outside the
+    schema, so the schema variables unfolded are those of the right
+    sides."""
+    if not eqs:
         return None
-    result = unify(schema.instance_eqs(irr, unfolding_depth(irr, schema)))
+    result = unify(schema.instance_eqs(eqs, depth))
     return result if isinstance(result, UnifyFailure) else None
 
 
@@ -146,12 +218,12 @@ def compute_eq_sub(orbits: frozenset[frozenset[Variable]]) -> Substitution:
     """Collapse each variable-equality orbit (``FinalConfiguration.orbits``)
     onto its maximal-index member; index ties break toward the
     lexicographically larger symbol."""
-    bindings: dict[Variable, Term] = {}
+    reps: dict[Variable, Term] = {}
     for members in orbits:
         rep = Var(max(members, key=lambda v: (v.index, v.symbol)))
         for v in members:
-            bindings[v] = rep
-    return Substitution(bindings)
+            reps[v] = rep
+    return Substitution(reps)
 
 
 def future_relevant(
@@ -170,12 +242,45 @@ def future_relevant(
     )
 
 
+def store_spanning(classes: Iterable[EngineClass]) -> list[Equation]:
+    """A few equations per stored class with the variables of its store part
+    and, under eq_sub, its image.  A stored class's schema members are one
+    orbit and its plain members another, so eq_sub sends them to two
+    representatives, and the store part reads as: the first schema member
+    bound to the other ones and to each side, the first plain member bound
+    to the other ones, to a schema member and to each side, and each looped
+    member bound to itself.  A class stored only through a plain member has
+    at most one schema member and no side, so its schema part is empty, as
+    in the store."""
+    out: list[Equation] = []
+    for schematic, plain, sides, loops, stored in classes:
+        if not stored:
+            continue
+        for xs, others in ((schematic, ()), (plain, schematic[:1])):
+            if xs:
+                x0 = xs[0]
+                for y in xs[1:] + others:
+                    out.append(Equation(x0, y))
+                for t in sides:
+                    out.append(Equation(x0, t))
+        for x in loops:
+            out.append(Equation(x, x))
+    return out
+
+
 def normalized_store(
-    store: frozenset[Equation], schema: Schema
+    store: Iterable[Equation], schema: Schema
 ) -> frozenset[Equation]:
-    return frozenset(
-        Equation(e.lhs, schema.normalize(e.rhs)) for e in store
-    )
+    """The store with each right side folded back by ``Schema.normalize``,
+    each distinct side once."""
+    folded: dict[Term, Term] = {}
+    out = set()
+    for lhs, rhs in store:
+        t = folded.get(rhs)
+        if t is None:
+            t = folded[rhs] = schema.normalize(rhs)
+        out.add(Equation(lhs, t))
+    return frozenset(out)
 
 
 def simplified_store(
@@ -303,33 +408,32 @@ def u_sch_unif(
     # Variable set of the directly instantiated problem, maintained
     # incrementally (the terms themselves grow too fast to materialize).
     inst_vars = eq_vars(problem.equations)
-    # Engine input and irrelevant set carried into instance i.
-    eqs, irr = problem.equations, frozenset()
+    # Engine input, irrelevant groups and step carried into instance i.
+    eqs, groups, psi = problem.equations, (), Substitution()
     for i in itertools.count():
         fc = th_unif(eqs, schema)
         if not fc.ok:
             return SolverRun(
                 NotUnifiable(i, fc.verdict, fc.offending), records, stab
             )
-        irr = irr | irrelevant_set(fc.active, schema)
+        irr = irrelevant_set(groups, psi, fc.classes, schema)
         if i > 0:
-            failure = cycle_check(irr, schema)
+            failure = cycle_check(irr.eqs, schema, irr.depth)
             if failure is not None:
-                g = unfolding_depth(irr, schema)
                 return SolverRun(
-                    NotUnifiable(i, "irr-cycle", failure.equation, g),
+                    NotUnifiable(i, "irr-cycle", failure.equation, irr.depth),
                     records,
                     stab,
                 )
-        store_vars = eq_vars(fc.store)
+        store_vars = fc.vars
         psi = step_substitution(store_vars, schema)
         if stab is None:
             stab = stab_index(problem, psi)
             if cap is None:
                 cap = _default_cap(problem, stab)
         eq_sub = compute_eq_sub(fc.orbits)
-        irrv = irrelevant_vars(irr, store_vars, schema)
-        normalized = normalized_store(fc.store, schema)
+        irrv = irr.vars - store_vars
+        normalized = normalized_store(store_spanning(fc.classes), schema)
         # eq_sub maps each orbit onto a member, and every orbit member
         # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
         live = len(eq_vars(normalized) - eq_sub.domain())
@@ -337,7 +441,7 @@ def u_sch_unif(
             i=i,
             store=fc.store,
             vars=store_vars,
-            irr=irr,
+            groups=irr.groups,
             step_sub=psi,
             eq_sub=eq_sub,
             fr=future_relevant(store_vars, psi, schema),
@@ -368,7 +472,7 @@ def u_sch_unif(
                         return SolverRun(CycleFound(i, j, mu), records, stab)
         if i >= cap:
             return SolverRun(Exhausted(cap), records, stab)
-        eqs, irr = psi.apply_eqs(fc.store), psi.apply_eqs(irr)
+        eqs, groups = psi.apply_eqs(fc.store), irr.groups
         unfold = schema.step(inst_vars)
         inst_vars = (inst_vars - unfold.domain()).union(
             *(t.vars for t in unfold.mapping.values())

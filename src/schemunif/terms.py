@@ -44,7 +44,7 @@ class Variable(_VariableFields):
             raise ValueError(f"negative variable index: {symbol}[{index}]")
         if not symbol:
             raise ValueError("empty variable symbol")
-        return super().__new__(cls, symbol, index)
+        return tuple.__new__(cls, (symbol, index))
 
     @classmethod
     def _make(cls, iterable) -> "Variable":

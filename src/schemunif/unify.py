@@ -94,16 +94,16 @@ class Substitution:
         return "{" + ", ".join(f"{v} -> {t}" for v, t in items) + "}"
 
     def apply(self, t: Term) -> Term:
-        return self._applier()(t)
+        return self.applier()(t)
 
     def apply_eqs(self, eqs: Iterable[Equation]) -> frozenset[Equation]:
-        go = self._applier()
+        go = self.applier()
         return frozenset(Equation(go(e.lhs), go(e.rhs)) for e in eqs)
 
-    def _applier(self) -> Callable[[Term], Term]:
-        """The substitution as a function with a memo for one call: each
-        distinct node is rebuilt at most once, and a subterm with no bound
-        variable is returned as it is."""
+    def applier(self) -> Callable[[Term], Term]:
+        """The substitution as a function with one memo for all its calls:
+        each distinct node is rebuilt at most once, and a subterm with no
+        bound variable is returned as it is."""
         m = self._map
         domain = m.keys()
         memo: dict[int, Term] = {}
@@ -122,7 +122,7 @@ class Substitution:
 
     def compose(self, other: "Substitution") -> "Substitution":
         """(self then other): x(self;other) = other(self(x))."""
-        go = other._applier()
+        go = other.applier()
         m = {v: go(t) for v, t in self._map.items()}
         for v, t in other._map.items():
             m.setdefault(v, t)

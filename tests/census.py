@@ -2,7 +2,7 @@
 
 Run from the root of the repository::
 
-    python -m tests.census
+    python -m tests.census [--check | --write]
 
 It solves 2 000 derandomized ``uniform_problems(max_offset=3)`` examples
 and 1 500 ``multi_rule_problems()`` examples at cap 40 and prints the
@@ -15,13 +15,22 @@ column.  A change that keeps every verdict, store and trace keeps the
 first digest, and one that keeps every parse result and error the
 second; the generated problems, and so the first digest, are fixed for
 one hypothesis version.
+
+``--check`` compares both digests with ``tests/census_digests.json`` and
+exits 1 if either differs, or 2 if that file was written under another
+hypothesis version, whose generated problems differ.  ``--write`` records
+the digests there, with the hypothesis version.
 """
 
+import argparse
 import hashlib
+import json
 import os
 import random
 import sys
 from collections import Counter
+
+import hypothesis
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -47,6 +56,7 @@ SAMPLES = [
     ("uniform_problems(max_offset=3)", uniform_problems(max_offset=3), 2000),
     ("multi_rule_problems()", multi_rule_problems(), 1500),
 ]
+DIGESTS = os.path.join(os.path.dirname(__file__), "census_digests.json")
 PARSE_SEED = 1
 PARSE_TEXTS = 6000
 # Token text, separators and comment marks, and characters no token
@@ -71,7 +81,7 @@ def mutant(rng: random.Random, text: str) -> str:
     return text
 
 
-def parse_census() -> None:
+def parse_census() -> str:
     rng = random.Random(PARSE_SEED)
     texts = []
     for path in corpus_paths():
@@ -92,9 +102,10 @@ def parse_census() -> None:
     counts = ", ".join(f"{k} {tally[k]}" for k in sorted(tally))
     print(f"parse: {PARSE_TEXTS} mutated corpus texts ({counts})")
     print(f"parse sha256 {digest.hexdigest()}")
+    return digest.hexdigest()
 
 
-def main() -> None:
+def solver_census() -> str:
     digest = hashlib.sha256()
     for name, strategy, n in SAMPLES:
         verdicts = Counter()
@@ -105,8 +116,40 @@ def main() -> None:
         tally = ", ".join(f"{v} {c}" for v, c in sorted(verdicts.items()))
         print(f"{name}: {sum(verdicts.values())} problems ({tally})")
     print(f"sha256 {digest.hexdigest()}")
-    parse_census()
+    return digest.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description="Digest solver and parser output.")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS}")
+    mode.add_argument("--write", action="store_true", help=f"record in {DIGESTS}")
+    args = ap.parse_args()
+    got = {
+        "hypothesis": hypothesis.__version__,
+        "solver": solver_census(),
+        "parse": parse_census(),
+    }
+    if args.write:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            json.dump(got, fh, indent=2)
+            fh.write("\n")
+    if not args.check:
+        return 0
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    if want["hypothesis"] != got["hypothesis"]:
+        print(
+            f"cannot check: the digests were recorded under hypothesis"
+            f" {want['hypothesis']}, this is {got['hypothesis']}"
+        )
+        return 2
+    bad = [k for k in ("solver", "parse") if want[k] != got[k]]
+    for k in bad:
+        print(f"{k} digest differs: recorded {want[k]}")
+    print("census digests match" if not bad else "census check FAILED")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

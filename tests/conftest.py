@@ -2,13 +2,14 @@ import glob
 import os
 import sys
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from schemunif.cli import parse_problem
-from schemunif.engine import FinalConfiguration
+from schemunif.engine import EngineClass, FinalConfiguration
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem
 from schemunif.terms import App, Var, Variable, app, var, variables
@@ -16,6 +17,7 @@ from schemunif.unify import (
     Equation,
     Substitution,
     UnifyFailure,
+    eq_vars,
     sorted_eqs,
     unify,
 )
@@ -514,9 +516,8 @@ def reference_th_unif(eqs, schema):
     while True:
         clash = update()
         if clash is not None:
-            return FinalConfiguration(
-                frozenset(store), frozenset(active), "clash", clash
-            )
+            # The partial set met before the clash is not kept.
+            return FinalConfiguration(frozenset(store), (), "clash", clash)
         if not (orient1 or decom or orient2 or trans):
             break
         while orient1:
@@ -556,13 +557,56 @@ def reference_th_unif(eqs, schema):
     verdict, offending = "ok", None
     if isinstance(gate, UnifyFailure):
         verdict, offending = gate.kind, gate.equation
-    return FinalConfiguration(
+    return reference_configuration(store, active, schema, verdict, offending)
+
+
+def reference_configuration(store, active, schema, verdict, offending):
+    """A FinalConfiguration whose classes are read off a saturated set given
+    as closure pairs: the variables joined by its Var = Var pairs, each class
+    with the App sides and the x = x of its members, stored when one of its
+    bindings is.  The classes must rebuild the pairs exactly."""
+    pairs = store | active
+    parent = {}  # non-roots only
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for e in pairs:
+        if isinstance(e.rhs, Var) and find(e.lhs) is not find(e.rhs):
+            parent[find(e.lhs)] = find(e.rhs)
+    members, sides, loops, stored = {}, {}, {}, set()
+    for e in sorted_eqs(pairs):
+        root = find(e.lhs)
+        members.setdefault(root, {})[e.lhs] = None
+        if isinstance(e.rhs, App):
+            sides.setdefault(root, {})[e.rhs] = None
+        elif e.rhs is e.lhs:
+            loops.setdefault(root, {})[e.lhs] = None
+        if e in store:
+            stored.add(root)
+    classes = tuple(
+        EngineClass(
+            tuple(x for x in xs if schema.contains(x.var)),
+            tuple(x for x in xs if not schema.contains(x.var)),
+            tuple(sides.get(root, ())),
+            tuple(loops.get(root, ())),
+            root in stored,
+        )
+        for root, xs in members.items()
+    )
+    fc = FinalConfiguration(
         frozenset(store),
-        frozenset(active),
+        classes,
         verdict,
         offending,
         reference_orbits(store),
+        eq_vars(store),
     )
+    assert fc.active == active, "the saturated set is not closure-shaped"
+    assert {e for c in classes if c.stored for e in c.store_part()} == store
+    return fc
 
 
 def reference_orbits(store):
@@ -589,3 +633,104 @@ def reference_orbits(store):
     for v in {x for p in pairs for x in p}:
         classes.setdefault(find(v), set()).add(v)
     return frozenset(frozenset(c) for c in classes.values() if len(c) > 1)
+
+
+# -- reference instance loop -------------------------------------------------
+#
+# The solver's earlier instance loop over closure pairs, kept as the
+# reference: the reference engine's active set, the irrelevant set as the
+# union of every active binding of a plain variable, carried through each
+# step, the store's variables walked off its pairs, and the simplified store
+# built from every stored pair with reference_normalize.
+
+
+class ReferenceInstance(NamedTuple):
+    eqs: frozenset  # the engine input
+    store: frozenset
+    active: frozenset
+    irr: frozenset
+    vars: frozenset
+    simplified: frozenset
+    live: int  # |vars(NStore) - dom(eq_sub)|
+    depth: int  # the unfolding steps of the irr-cycle check
+    irr_cycle: bool
+
+
+def reference_instances(problem, n):
+    """The first n instances of the closure-pair loop, up to the first that
+    fails."""
+    schema = problem.schema
+    eqs, irr = frozenset(problem.equations), frozenset()
+    out = []
+    for i in range(n):
+        fc = reference_th_unif(eqs, schema)
+        if not fc.ok:
+            break
+        irr = irr | {e for e in fc.active if not schema.contains(e.lhs.var)}
+        depth = 0
+        if irr:
+            i_max = max(e.lhs.var.index for e in irr)
+            r_min = min(
+                (v.index for v in eq_vars(irr) if schema.contains(v)),
+                default=i_max + 1,
+            )
+            depth = max(i_max - r_min + 1, 0)
+        irr_cycle = i > 0 and not unifiable(schema.instance_eqs(irr, depth))
+        rep = {}
+        for orbit in fc.orbits:
+            top = Var(max(orbit, key=lambda v: (v.index, v.symbol)))
+            rep.update((v, top) for v in orbit if v != top.var)
+        collapse = Substitution(rep)
+        normalized = {
+            Equation(e.lhs, reference_normalize(e.rhs, schema)) for e in fc.store
+        }
+        simplified = {
+            Equation(collapse.apply(e.lhs), collapse.apply(e.rhs))
+            for e in normalized
+        }
+        out.append(
+            ReferenceInstance(
+                eqs,
+                fc.store,
+                fc.active,
+                irr,
+                eq_vars(fc.store),
+                frozenset(e for e in simplified if e.lhs is not e.rhs),
+                len(eq_vars(normalized) - rep.keys()),
+                depth,
+                irr_cycle,
+            )
+        )
+        if irr_cycle:
+            break
+        psi = schema.step(eq_vars(fc.store))
+        eqs, irr = psi.apply_eqs(fc.store), psi.apply_eqs(irr)
+    return out
+
+
+def tied_ring(order, flips=()):
+    """Rules Lc[i] -> f(Xc[i], Lc[i+1]) for c in order, their heads tied in
+    a ring in that order; a tie whose position is in flips is written the
+    other way round."""
+    k = len(order)
+    schema = Schema.of(
+        {f"L{c}": f(var(f"X{c}", 0), var(f"L{c}", 1)) for c in order}
+    )
+    ties = []
+    for pos, c in enumerate(order):
+        a, b = var(f"L{c}", 0), var(f"L{order[(pos + 1) % k]}", 0)
+        ties.append(eq(b, a) if pos in flips else eq(a, b))
+    return SchematicProblem(frozenset(ties), schema)
+
+
+def tied_rings(max_k=8):
+    """Tied rings of 2..max_k rules in a random order, each tie in a random
+    orientation."""
+    return st.integers(2, max_k).flatmap(
+        lambda k: st.builds(
+            tied_ring,
+            st.permutations(range(k)),
+            st.sets(st.integers(0, k - 1)),
+        )
+    )
+

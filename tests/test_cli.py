@@ -292,6 +292,27 @@ def test_bad_arguments_are_input_errors(args, capsys):
     assert "error" in captured.err
 
 
+def test_indices_are_ascii_digits(tmp_path, capsys):
+    # U+0663 is a decimal digit that int() reads as 3; an index is an
+    # ASCII natural, so it is an unexpected character.
+    bad = tmp_path / "arabic.prob"
+    bad.write_text(
+        "schema: L[i] -> f(X[i], L[i+1]); problem: L[\u0663] = Y[0];",
+        encoding="utf-8",
+    )
+    assert main([str(bad)]) == 3
+    assert "line 1, column 45: unexpected character '\u0663'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_max_iterations_takes_ascii_digits(capsys):
+    with pytest.raises(SystemExit) as info:
+        main([golden_path(), "--max-iterations", "\u0663"])
+    assert info.value.code == 3
+    assert "expected a natural number" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])

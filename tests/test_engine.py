@@ -29,12 +29,19 @@ from .conftest import (
     reference_store_eligible,
     reference_th_unif,
     terms,
+    tied_ring,
     unifiable,
 )
 
 
 def ex_schema():
     return Schema.of({"L": EX_BASE})
+
+
+def same_configuration(a, b):
+    """Equal configurations with equal active sets; the active set is read
+    off the classes, which equality leaves out."""
+    return a == b and a.active == b.active
 
 
 def test_first_instance_store():
@@ -297,17 +304,6 @@ def test_unfolding_search_matches_reference():
                         )
 
 
-def tied_ring(k):
-    """k rules Lc[i] -> f(Xc[i], Lc[i+1]) with their heads tied in a ring."""
-    schema = Schema.of(
-        {f"L{c}": f(var(f"X{c}", 0), var(f"L{c}", 1)) for c in range(k)}
-    )
-    ties = frozenset(
-        eq(var(f"L{c}", 0), var(f"L{(c + 1) % k}", 0)) for c in range(k)
-    )
-    return SchematicProblem(ties, schema)
-
-
 # -- the worklist engine against the earlier saturation loop ----------------
 
 ENGINE_RULES = [{"L": EX_BASE}, {"L": GOLDEN_BASE}] + DIFF_RULES
@@ -335,8 +331,8 @@ def test_saturation_matches_reference_engine(rules, eqs):
         assert isinstance(lhs, App) and isinstance(rhs, App)
         assert (lhs.head, len(lhs.args)) != (rhs.head, len(rhs.args))
     else:
-        assert fc == want
-    assert th_unif(eqs[::-1], schema) == fc
+        assert same_configuration(fc, want)
+    assert same_configuration(th_unif(eqs[::-1], schema), fc)
 
 
 # -- the saturation traps of the class-based engine --------------------------
@@ -344,7 +340,7 @@ def test_saturation_matches_reference_engine(rules, eqs):
 
 def _check_against_reference(eqs, schema):
     fc = th_unif(eqs, schema)
-    assert fc == reference_th_unif(eqs, schema)
+    assert same_configuration(fc, reference_th_unif(eqs, schema))
     return fc.store | fc.active
 
 
@@ -389,7 +385,7 @@ def _gate_check(eqs):
     reference engine in full."""
     fc = th_unif(eqs, ex_schema())
     assert fc.ok == unifiable(eqs)
-    assert fc == reference_th_unif(eqs, ex_schema())
+    assert same_configuration(fc, reference_th_unif(eqs, ex_schema()))
     return fc
 
 
@@ -455,7 +451,7 @@ def _moves(eqs, schema):
     """th_unif agrees in full with the reference engine, which judges each
     equation on its own."""
     fc = th_unif(eqs, schema)
-    assert fc == reference_th_unif(eqs, schema)
+    assert same_configuration(fc, reference_th_unif(eqs, schema))
     return fc
 
 
@@ -529,7 +525,7 @@ def test_orbit_saturation_matches_reference_engine(rules, eqs):
     want = reference_th_unif(eqs, schema)
     assert fc.verdict == want.verdict
     if fc.verdict != "clash":
-        assert fc == want
+        assert same_configuration(fc, want)
         assert fc.ok == isinstance(unify(fc.store | fc.active), Substitution)
 
 
@@ -550,7 +546,7 @@ def test_whole_runs_match_reference_engine(monkeypatch):
     reference saturation loop; the caps keep the growing-store runs
     short."""
     runs = (
-        [(tied_ring(k), None) for k in range(4, 17)]
+        [(tied_ring(range(k)), None) for k in range(4, 17)]
         + [
             (parse_problem(BLOW_UP_1).problem, 24),
             (parse_problem(BLOW_UP_2).problem, 16),

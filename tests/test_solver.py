@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schemunif import solver
 from schemunif.cli import parse_problem
@@ -17,8 +18,8 @@ from schemunif.solver import (
     compute_eq_sub,
     cycle_check,
     future_relevant,
+    IrrGroup,
     irrelevant_set,
-    irrelevant_vars,
     normalized_store,
     simplified_store,
     stab_index,
@@ -27,7 +28,7 @@ from schemunif.solver import (
     var_disjoint,
 )
 from schemunif.terms import Var, depth, shift, var
-from schemunif.unify import Substitution, eq_vars
+from schemunif.unify import Substitution, eq_vars, unify
 
 from .conftest import (
     EX_BASE,
@@ -39,7 +40,10 @@ from .conftest import (
     f,
     h,
     multi_rule_problems,
+    reference_instances,
     subterms,
+    tied_ring,
+    tied_rings,
     uniform_problems,
 )
 
@@ -56,38 +60,74 @@ def test_step_substitution_unfolds_store_schema_vars():
     assert psi.apply(L(1)) == shift(1, EX_BASE)
 
 
+def irr_of(*groups, schema=None):
+    """The irrelevant set of the groups given as (plain, rights) pairs."""
+    return irrelevant_set(
+        [IrrGroup(tuple(plain), tuple(rights), ()) for plain, rights in groups],
+        Substitution(),
+        (),
+        schema or ex_schema(),
+    )
+
+
 def test_irrelevant_set_keeps_non_schema_bindings():
     schema = ex_schema()
-    active = frozenset(
+    fc = th_unif(
         [
             eq(Y(1), h(X(1), X(2))),
             eq(L(2), h(X(0), X(0))),
-            eq(h(X(0), X(1)), Y(0)),
-        ]
+            eq(L(0), Y(0)),
+        ],
+        schema,
     )
-    assert irrelevant_set(active, schema) == {eq(Y(1), h(X(1), X(2)))}
+    # L[2]'s binding is stored, and L[0] = Y[0] stays active, but its left
+    # side is a schema variable.
+    assert eq(L(0), Y(0)) in fc.active
+    irr = irrelevant_set((), Substitution(), fc.classes, schema)
+    assert {e for g in irr.groups for e in g.closure()} == {
+        eq(Y(1), h(X(1), X(2))),
+        eq(Y(0), L(0)),
+    }
+    assert set(irr.eqs) == {eq(Y(1), h(X(1), X(2))), eq(Y(0), L(0))}
+
+
+def test_irrelevant_set_carries_groups_through_the_step():
+    # psi unfolds L[1] in the right side; the plain members stay.
+    schema = ex_schema()
+    group = IrrGroup((Y(0), Y(2)), (L(1),), (Y(2),))
+    psi = step_substitution(frozenset([L(1).var]), schema)
+    irr = irrelevant_set([group], psi, (), schema)
+    assert irr.groups == (IrrGroup((Y(0), Y(2)), (shift(1, EX_BASE),), (Y(2),)),)
+    assert set(irr.groups[0].closure()) == {
+        eq(Y(0), Y(2)),
+        eq(Y(2), Y(0)),
+        eq(Y(0), shift(1, EX_BASE)),
+        eq(Y(2), shift(1, EX_BASE)),
+        eq(Y(2), Y(2)),
+    }
+    assert irr.eqs == [eq(Y(0), Y(2)), eq(Y(0), shift(1, EX_BASE))]
 
 
 def test_irrelevant_vars_excludes_store_and_schema():
-    schema = ex_schema()
-    irr = frozenset([eq(Y(1), h(X(1), L(2)))])
+    irr = irr_of(([Y(1)], [h(X(1), L(2))]))
     store = frozenset([eq(X(1), h(Y(5), Y(5)))])
     # L[2] is a schema variable and X[1] occurs in the store; only Y[1]
     # counts as irrelevant.
-    assert irrelevant_vars(irr, eq_vars(store), schema) == {Y(1).var}
+    assert irr.vars == {Y(1).var, X(1).var}
+    assert irr.vars - eq_vars(store) == {Y(1).var}
 
 
 def test_cycle_check_clean_set():
     schema = ex_schema()
-    irr = frozenset([eq(Y(1), h(X(1), X(2)))])
-    assert cycle_check(irr, schema) is None
-    assert cycle_check(frozenset(), schema) is None
+    irr = irr_of(([Y(1)], [h(X(1), X(2))]))
+    assert cycle_check(irr.eqs, schema, irr.depth) is None
+    assert cycle_check([], schema, 0) is None
 
 
 def test_cycle_check_direct_occurrence():
     schema = ex_schema()
-    irr = frozenset([eq(Y(1), h(Y(1), X(2)))])
-    failure = cycle_check(irr, schema)
+    irr = irr_of(([Y(1)], [h(Y(1), X(2))]))
+    failure = cycle_check(irr.eqs, schema, irr.depth)
     assert failure is not None and failure.kind == "cycle"
 
 
@@ -96,8 +136,9 @@ def test_cycle_check_through_unfolding():
     # X[2] itself, closing an occurs cycle that is invisible before
     # unfolding.
     schema = ex_schema()
-    irr = frozenset([eq(X(2), h(Y(0), L(1)))])
-    failure = cycle_check(irr, schema)
+    irr = irr_of(([X(2)], [h(Y(0), L(1))]))
+    assert irr.depth == 2
+    failure = cycle_check(irr.eqs, schema, irr.depth)
     assert failure is not None and failure.kind == "cycle"
 
 
@@ -488,6 +529,81 @@ def test_solver_agrees_with_oracle_on_multi_rule_problems(problem):
     assert_agrees_with_oracle(problem)
 
 
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(uniform_problems(), multi_rule_problems(), tied_rings()))
+def test_records_match_the_closure_pair_reference(problem):
+    """The irrelevant set kept as groups, the active set built from the
+    engine's classes, and the store's variables and simplified store read
+    per class equal what the earlier loop over closure pairs builds, record
+    by record, and an irr-cycle comes at the reference's instance with its
+    depth."""
+    assert_matches_closure_pair_reference(problem, 12)
+
+
+# Generated problems whose irrelevant groups hold a schema variable that
+# the next step unfolds; about one in a hundred generated problems does.
+UNFOLDED_RIGHTS = [
+    "schema: L[i] -> f(X[i+3], L[i+1]); problem: L[0] = f(L[1], L[1]);",
+    "schema: L[i] -> f(f(X[i+2], X[i+2]), L[i+3]);"
+    " problem: L[1] = f(Y[0], f(Y[0], Y[0]));",
+    "schema: L[i] -> f(f(X[i+2], X[i+2]), L[i+3]); problem: L[1] = f(Y[0], Y[0]);",
+    "schema: L[i] -> f(Z[i], L[i+3]); M[i] -> f(L[i], g(Z[i]));"
+    " problem: L[1] = f(L[2], L[2]);",
+]
+
+
+def test_corpus_records_match_the_closure_pair_reference(corpus):
+    for path, parsed in corpus:
+        assert_matches_closure_pair_reference(parsed.problem, None)
+    for text in UNFOLDED_RIGHTS:
+        assert_matches_closure_pair_reference(parse_problem(text).problem, 12)
+    assert_matches_closure_pair_reference(parse_problem(BLOW_UP_1).problem, 16)
+
+
+def assert_matches_closure_pair_reference(problem, cap):
+    run = u_sch_unif(problem, cap=cap)
+    want = reference_instances(problem, len(run.records) + 1)
+    schema = problem.schema
+    for rec, ref in zip(run.records, want):
+        assert rec.store == ref.store, rec.i
+        assert th_unif(ref.eqs, schema).active == ref.active, rec.i
+        assert rec.irr == ref.irr, rec.i
+        assert rec.vars == ref.vars, rec.i
+        assert rec.simplified == ref.simplified, rec.i
+        irrv = {v for v in eq_vars(ref.irr) if not schema.contains(v)} - ref.vars
+        assert rec.metric_live == ref.live - len(irrv), rec.i
+    out = run.outcome
+    if isinstance(out, NotUnifiable) and out.cause == "irr-cycle":
+        assert (out.instance, out.lookahead) == (len(want) - 1, want[-1].depth)
+        assert want[-1].irr_cycle
+    else:
+        assert not any(ref.irr_cycle for ref in want)
+
+
+def test_cycle_check_input_follows_the_groups(monkeypatch):
+    """On tied-32 the irrelevant set gains one class of 32 plain members an
+    instance, 992 closure pairs; cycle_check unifies at most 4k equations an
+    instance, not the closure pairs."""
+    sizes = []
+
+    def counting_unify(eqs):
+        sizes.append(len(eqs))
+        return unify(eqs)
+
+    monkeypatch.setattr(solver, "unify", counting_unify)
+    run = u_sch_unif(tied_ring(range(32)))
+    assert isinstance(run.outcome, CycleFound)
+    assert len(sizes) == len(run.records) - 1 and sizes
+    assert max(sizes) <= 4 * 32
+    assert max(len(rec.irr) for rec in run.records) >= 32 * 31
+
+
 def assert_agrees_with_oracle(problem):
     out = u_sch_unif(problem, cap=30).outcome
     if isinstance(out, CycleFound):
@@ -568,5 +684,8 @@ def test_blow_up_1_walks_each_store_once(monkeypatch):
     monkeypatch.setattr(solver, "eq_vars", counting_eq_vars)
     run = u_sch_unif(parse_problem(BLOW_UP_1).problem, cap=40)
     assert run.outcome == Exhausted(40)
+    # The store's variables are read off the engine's classes: no raw store
+    # of up to 841 equations is walked for them, not even once.
     for rec in run.records:
-        assert sum(eqs is rec.store for eqs in walked) == 1, rec.i
+        assert not any(eqs is rec.store for eqs in walked), rec.i
+        assert rec.vars == eq_vars(rec.store), rec.i

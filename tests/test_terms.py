@@ -38,6 +38,24 @@ def test_negative_index_rejected():
         Variable("X", 1)._replace(index=-1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda symbol, index: Variable(symbol, index),
+        lambda symbol, index: Variable._make((symbol, index)),
+        lambda symbol, index: Variable("X", 1)._replace(symbol=symbol, index=index),
+    ],
+    ids=["call", "make", "replace"],
+)
+def test_every_constructor_checks_the_fields(build):
+    with pytest.raises(ValueError, match="negative variable index"):
+        build("X", -1)
+    with pytest.raises(ValueError, match="empty variable symbol"):
+        build("", 0)
+    v = build("X", 0)
+    assert type(v) is Variable and v == ("X", 0)
+
+
 def test_variable_value_semantics():
     v = Variable("X", 3)
     assert v == Variable("X", 3)
