@@ -79,23 +79,34 @@ from __future__ import annotations
 import graphlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .schema import Schema
 from .terms import App, Term, Var, Variable
 from .unify import Equation, UnifyFailure, sorted_eqs, unify
 
 
-class EngineClass(NamedTuple):
+class EngineClass:
     """One class of the saturated set: its schema and plain members, its
     distinct ``App`` sides in arrival order, the members the input binds to
-    themselves, and whether its bindings are in the store."""
+    themselves, and whether its bindings are in the store.  Read-only once
+    ``th_unif`` returns it."""
 
-    schematic: tuple[Var, ...]
-    plain: tuple[Var, ...]
-    sides: tuple[App, ...]
-    loops: tuple[Var, ...]
-    stored: bool
+    __slots__ = ("schematic", "plain", "sides", "loops", "stored")
+
+    def __init__(
+        self,
+        schematic: tuple[Var, ...],
+        plain: tuple[Var, ...],
+        sides: tuple[App, ...],
+        loops: tuple[Var, ...],
+        stored: bool,
+    ):
+        self.schematic = schematic
+        self.plain = plain
+        self.sides = sides
+        self.loops = loops
+        self.stored = stored
 
     def vars(self) -> set[Variable]:
         """The variables of its bindings: its members and those of its
@@ -255,36 +266,34 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
 
     orbits: list[frozenset[Variable]] = []  # one-member ones dropped at the end
     store_vars: set[Variable] = set()
-    waiting: dict[int, EngineClass] = {}  # by position in out
-    for k, c in enumerate(out):
+    waiting: list[EngineClass] = []
+    for c in out:
         orbits.append(frozenset([x.var for x in c.schematic]))
         if c.stored:
             store_vars.update(c.vars())
             orbits.append(frozenset([x.var for x in c.plain]))
         else:
-            waiting[k] = c
+            waiting.append(c)
     # No waiting variable lies above bound, and unfolding never lowers an
     # index, so the search for condition 3 stops there.
-    bound = max(
-        (x.var.index for c in waiting.values() for x in c.plain), default=-1
-    )
+    bound = max((x.var.index for c in waiting for x in c.plain), default=-1)
     eligible: set[Variable] = set()
     schema.unfold_into(eligible, store_vars, bound)
     while waiting:
         ready = [
-            k
-            for k, c in waiting.items()
+            c
+            for c in waiting
             if any(store_eligible(x.var, eligible) for x in c.plain)
         ]
         if not ready:
             break
-        for k in ready:
-            c = waiting.pop(k)
-            out[k] = c._replace(stored=True)
+        for c in ready:
+            c.stored = True
             moved = c.vars()
             store_vars.update(moved)
             schema.unfold_into(eligible, moved, bound)
             orbits.append(frozenset([x.var for x in c.plain]))
+        waiting = [c for c in waiting if not c.stored]
 
     store = frozenset([e for c in out if c.stored for e in c.store_part()])
     verdict, offending = "ok", None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .engine import EngineClass, bindings, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
@@ -49,30 +49,32 @@ from .unify import (
 )
 
 
-class IrrGroup(NamedTuple):
+class IrrGroup:
     """The irrelevant bindings of one engine class left out of the store:
     every plain member bound to every other one and to every right side (the
     class's schema members and sides, unfolded as the instances go on), and
-    the looped members to themselves."""
+    the looped members to themselves.  Read-only; records share groups."""
 
-    plain: tuple[Var, ...]  # the least variable first
-    rights: tuple[Term, ...]
-    loops: tuple[Var, ...]
+    __slots__ = ("plain", "rights", "loops", "_closure")
 
-    def closure(self) -> list[Equation]:
-        return bindings(self.plain, self.plain, self.rights, self.loops)
+    def __init__(
+        self,
+        plain: tuple[Var, ...],  # the least variable first
+        rights: tuple[Term, ...],
+        loops: tuple[Var, ...],
+    ):
+        self.plain = plain
+        self.rights = rights
+        self.loops = loops
+        self._closure: Optional[frozenset[Equation]] = None
 
-
-class IrrelevantSet(NamedTuple):
-    """The irrelevant set of an instance, as groups, with what the solver
-    reads off them."""
-
-    groups: tuple[IrrGroup, ...]
-    # Each group's least plain member bound to each other member and right
-    # side: unifiable exactly when the closure of the groups is.
-    eqs: list[Equation]
-    vars: frozenset[Variable]  # its variables outside the schema
-    depth: int  # the unfolding steps cycle_check takes
+    def closure(self) -> frozenset[Equation]:
+        """Its bindings, built on first call."""
+        if self._closure is None:
+            self._closure = frozenset(
+                bindings(self.plain, self.plain, self.rights, self.loops)
+            )
+        return self._closure
 
 
 @dataclass
@@ -97,7 +99,7 @@ class InstanceRecord:
     def irr(self) -> frozenset[Equation]:
         """The irrelevant set: the closure of its groups, built on first
         read."""
-        return frozenset(e for g in self.groups for e in g.closure())
+        return frozenset().union(*[g.closure() for g in self.groups])
 
 
 @dataclass(frozen=True)
@@ -153,24 +155,28 @@ def irrelevant_set(
     psi: Substitution,
     classes: Iterable[EngineClass],
     schema: Schema,
-) -> IrrelevantSet:
-    """The irrelevant set of an instance: the groups carried from the
+) -> tuple[tuple[IrrGroup, ...], list[Equation], frozenset[Variable], int]:
+    """The irrelevant set of an instance, as groups: those carried from the
     previous instance, with its step psi applied to their right sides (psi
     unfolds only schema variables, so it fixes every plain member), then one
-    group for each class that the engine left out of the store.  One scan of
-    the groups reads off the rest.
+    for each class that the engine left out of the store.  One scan of the
+    groups reads off the rest of the result:
 
-    Its depth, the unfolding steps that cover the index gap between the
-    plain members and the deepest schema variable, is i_max - r_min + 1
-    over the groups, never below 0, and 0 without a schema variable, as
-    there is nothing to unfold."""
+    - the spanning equations, each group's least plain member bound to each
+      other member and each right side, which are unifiable exactly when
+      the closure of the groups is;
+    - the variables outside the schema;
+    - the depth, the unfolding steps that cover the index gap between the
+      plain members and the deepest schema variable: i_max - r_min + 1 over
+      the groups, never below 0, and 0 without a schema variable, as there
+      is nothing to unfold."""
     groups = list(carried)
     if psi and groups:
         go = psi.applier()
-        for k, (plain, rights, loops) in enumerate(groups):
-            unfolded = tuple([go(r) for r in rights])
-            if unfolded != rights:
-                groups[k] = IrrGroup(plain, unfolded, loops)
+        for k, g in enumerate(groups):
+            unfolded = tuple([go(r) for r in g.rights])
+            if unfolded != g.rights:
+                groups[k] = IrrGroup(g.plain, unfolded, g.loops)
     for c in classes:
         if c.plain and not c.stored:
             plain = tuple(sorted(c.plain, key=_var))
@@ -178,14 +184,14 @@ def irrelevant_set(
     eqs: list[Equation] = []
     plain_vars: set[Variable] = set()
     right_vars: set[Variable] = set()
-    for plain, rights, _ in groups:
-        x0 = plain[0]
-        for y in plain[1:]:
+    for g in groups:
+        x0 = g.plain[0]
+        for y in g.plain[1:]:
             eqs.append(Equation(x0, y))
-        for r in rights:
+        for r in g.rights:
             eqs.append(Equation(x0, r))
             right_vars |= r.vars
-        for x in plain:
+        for x in g.plain:
             plain_vars |= x.vars
     i_max = max([v.index for v in plain_vars], default=-1)
     r_min = None
@@ -195,8 +201,7 @@ def irrelevant_set(
         else:
             plain_vars.add(v)
     depth = 0 if r_min is None else max(i_max - r_min + 1, 0)
-    return IrrelevantSet(tuple(groups), eqs, frozenset(plain_vars), depth)
-
+    return tuple(groups), eqs, frozenset(plain_vars), depth
 
 
 def cycle_check(
@@ -253,17 +258,17 @@ def store_spanning(classes: Iterable[EngineClass]) -> list[Equation]:
     at most one schema member and no side, so its schema part is empty, as
     in the store."""
     out: list[Equation] = []
-    for schematic, plain, sides, loops, stored in classes:
-        if not stored:
+    for c in classes:
+        if not c.stored:
             continue
-        for xs, others in ((schematic, ()), (plain, schematic[:1])):
+        for xs, others in ((c.schematic, ()), (c.plain, c.schematic[:1])):
             if xs:
                 x0 = xs[0]
                 for y in xs[1:] + others:
                     out.append(Equation(x0, y))
-                for t in sides:
+                for t in c.sides:
                     out.append(Equation(x0, t))
-        for x in loops:
+        for x in c.loops:
             out.append(Equation(x, x))
     return out
 
@@ -416,12 +421,14 @@ def u_sch_unif(
             return SolverRun(
                 NotUnifiable(i, fc.verdict, fc.offending), records, stab
             )
-        irr = irrelevant_set(groups, psi, fc.classes, schema)
+        groups, spanning, irr_vars, depth = irrelevant_set(
+            groups, psi, fc.classes, schema
+        )
         if i > 0:
-            failure = cycle_check(irr.eqs, schema, irr.depth)
+            failure = cycle_check(spanning, schema, depth)
             if failure is not None:
                 return SolverRun(
-                    NotUnifiable(i, "irr-cycle", failure.equation, irr.depth),
+                    NotUnifiable(i, "irr-cycle", failure.equation, depth),
                     records,
                     stab,
                 )
@@ -432,7 +439,7 @@ def u_sch_unif(
             if cap is None:
                 cap = _default_cap(problem, stab)
         eq_sub = compute_eq_sub(fc.orbits)
-        irrv = irr.vars - store_vars
+        irrv = irr_vars - store_vars
         normalized = normalized_store(store_spanning(fc.classes), schema)
         # eq_sub maps each orbit onto a member, and every orbit member
         # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
@@ -441,7 +448,7 @@ def u_sch_unif(
             i=i,
             store=fc.store,
             vars=store_vars,
-            groups=irr.groups,
+            groups=groups,
             step_sub=psi,
             eq_sub=eq_sub,
             fr=future_relevant(store_vars, psi, schema),
@@ -472,7 +479,7 @@ def u_sch_unif(
                         return SolverRun(CycleFound(i, j, mu), records, stab)
         if i >= cap:
             return SolverRun(Exhausted(cap), records, stab)
-        eqs, groups = psi.apply_eqs(fc.store), irr.groups
+        eqs = psi.apply_eqs(fc.store)
         unfold = schema.step(inst_vars)
         inst_vars = (inst_vars - unfold.domain()).union(
             *(t.vars for t in unfold.mapping.values())

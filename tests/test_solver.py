@@ -12,13 +12,13 @@ from schemunif.schema import Schema, make_primitive
 from schemunif.solver import (
     CycleFound,
     Exhausted,
+    IrrGroup,
     NotUnifiable,
     SchematicProblem,
     check_for_map,
     compute_eq_sub,
     cycle_check,
     future_relevant,
-    IrrGroup,
     irrelevant_set,
     normalized_store,
     simplified_store,
@@ -60,13 +60,14 @@ def test_step_substitution_unfolds_store_schema_vars():
     assert psi.apply(L(1)) == shift(1, EX_BASE)
 
 
-def irr_of(*groups, schema=None):
-    """The irrelevant set of the groups given as (plain, rights) pairs."""
+def irr_of(*groups):
+    """The irrelevant set of the groups given as (plain, rights) pairs:
+    groups, spanning equations, variables and depth."""
     return irrelevant_set(
         [IrrGroup(tuple(plain), tuple(rights), ()) for plain, rights in groups],
         Substitution(),
         (),
-        schema or ex_schema(),
+        ex_schema(),
     )
 
 
@@ -83,12 +84,12 @@ def test_irrelevant_set_keeps_non_schema_bindings():
     # L[2]'s binding is stored, and L[0] = Y[0] stays active, but its left
     # side is a schema variable.
     assert eq(L(0), Y(0)) in fc.active
-    irr = irrelevant_set((), Substitution(), fc.classes, schema)
-    assert {e for g in irr.groups for e in g.closure()} == {
+    groups, spanning, _, _ = irrelevant_set((), Substitution(), fc.classes, schema)
+    assert {e for g in groups for e in g.closure()} == {
         eq(Y(1), h(X(1), X(2))),
         eq(Y(0), L(0)),
     }
-    assert set(irr.eqs) == {eq(Y(1), h(X(1), X(2))), eq(Y(0), L(0))}
+    assert set(spanning) == {eq(Y(1), h(X(1), X(2))), eq(Y(0), L(0))}
 
 
 def test_irrelevant_set_carries_groups_through_the_step():
@@ -96,38 +97,41 @@ def test_irrelevant_set_carries_groups_through_the_step():
     schema = ex_schema()
     group = IrrGroup((Y(0), Y(2)), (L(1),), (Y(2),))
     psi = step_substitution(frozenset([L(1).var]), schema)
-    irr = irrelevant_set([group], psi, (), schema)
-    assert irr.groups == (IrrGroup((Y(0), Y(2)), (shift(1, EX_BASE),), (Y(2),)),)
-    assert set(irr.groups[0].closure()) == {
+    (g,), spanning, _, _ = irrelevant_set([group], psi, (), schema)
+    assert (g.plain, g.rights, g.loops) == ((Y(0), Y(2)), (shift(1, EX_BASE),), (Y(2),))
+    assert g.closure() == {
         eq(Y(0), Y(2)),
         eq(Y(2), Y(0)),
         eq(Y(0), shift(1, EX_BASE)),
         eq(Y(2), shift(1, EX_BASE)),
         eq(Y(2), Y(2)),
     }
-    assert irr.eqs == [eq(Y(0), Y(2)), eq(Y(0), shift(1, EX_BASE))]
+    assert spanning == [eq(Y(0), Y(2)), eq(Y(0), shift(1, EX_BASE))]
+    # A group the step leaves alone is carried as it is.
+    (same,), _, _, _ = irrelevant_set([g], psi, (), schema)
+    assert same is g
 
 
 def test_irrelevant_vars_excludes_store_and_schema():
-    irr = irr_of(([Y(1)], [h(X(1), L(2))]))
+    _, _, irr_vars, _ = irr_of(([Y(1)], [h(X(1), L(2))]))
     store = frozenset([eq(X(1), h(Y(5), Y(5)))])
     # L[2] is a schema variable and X[1] occurs in the store; only Y[1]
     # counts as irrelevant.
-    assert irr.vars == {Y(1).var, X(1).var}
-    assert irr.vars - eq_vars(store) == {Y(1).var}
+    assert irr_vars == {Y(1).var, X(1).var}
+    assert irr_vars - eq_vars(store) == {Y(1).var}
 
 
 def test_cycle_check_clean_set():
     schema = ex_schema()
-    irr = irr_of(([Y(1)], [h(X(1), X(2))]))
-    assert cycle_check(irr.eqs, schema, irr.depth) is None
+    _, spanning, _, depth = irr_of(([Y(1)], [h(X(1), X(2))]))
+    assert cycle_check(spanning, schema, depth) is None
     assert cycle_check([], schema, 0) is None
 
 
 def test_cycle_check_direct_occurrence():
     schema = ex_schema()
-    irr = irr_of(([Y(1)], [h(Y(1), X(2))]))
-    failure = cycle_check(irr.eqs, schema, irr.depth)
+    _, spanning, _, depth = irr_of(([Y(1)], [h(Y(1), X(2))]))
+    failure = cycle_check(spanning, schema, depth)
     assert failure is not None and failure.kind == "cycle"
 
 
@@ -136,9 +140,9 @@ def test_cycle_check_through_unfolding():
     # X[2] itself, closing an occurs cycle that is invisible before
     # unfolding.
     schema = ex_schema()
-    irr = irr_of(([X(2)], [h(Y(0), L(1))]))
-    assert irr.depth == 2
-    failure = cycle_check(irr.eqs, schema, irr.depth)
+    _, spanning, _, depth = irr_of(([X(2)], [h(Y(0), L(1))]))
+    assert depth == 2
+    failure = cycle_check(spanning, schema, depth)
     assert failure is not None and failure.kind == "cycle"
 
 
