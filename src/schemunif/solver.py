@@ -147,9 +147,6 @@ def step_substitution(
     return schema.step(store_vars)
 
 
-_var = attrgetter("var")
-
-
 def irrelevant_set(
     carried: Iterable[IrrGroup],
     psi: Substitution,
@@ -179,7 +176,7 @@ def irrelevant_set(
                 groups[k] = IrrGroup(g.plain, unfolded, g.loops)
     for c in classes:
         if c.plain and not c.stored:
-            plain = tuple(sorted(c.plain, key=_var))
+            plain = tuple(sorted(c.plain, key=attrgetter("var")))
             groups.append(IrrGroup(plain, c.schematic + c.sides, c.loops))
     eqs: list[Equation] = []
     plain_vars: set[Variable] = set()
@@ -209,10 +206,8 @@ def cycle_check(
 ) -> Optional[UnifyFailure]:
     """Detect occurs cycles hidden in the irrelevant set by unfolding the
     schema variables of its spanning equations depth times, then unifying.
-    Unification is transitive, so a group's spanning equations have the
-    unifiers of its closure.  Every left side is a variable outside the
-    schema, so the schema variables unfolded are those of the right
-    sides."""
+    Every left side is a variable outside the schema, so the schema
+    variables unfolded are those of the right sides."""
     if not eqs:
         return None
     result = unify(schema.instance_eqs(eqs, depth))
