@@ -45,8 +45,11 @@ from .terms import App, Term, Var, var
 from .unify import Equation, sorted_eqs
 
 
-# Far deeper than any real problem, and shallow enough that the recursive
-# parser, printers and term walks stay well inside the interpreter's stack.
+# Far deeper than any real problem.  The parser reads any depth without
+# recursion, but the printers (``str`` fails at about 300 levels under the
+# interpreter's default limit) and the term walks (``shift``,
+# ``Schema.normalize``, the unifier, the oracle) recurse once or more per
+# level: they rely on the recursion limit that ``main`` raises.
 MAX_TERM_DEPTH = 1000
 
 
@@ -84,11 +87,12 @@ class _Token(NamedTuple):
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text, scanned once up front.
+    """A parser over the tokens of one text, scanned once up front.
 
     A token keeps only its offset; ``fail`` turns an offset into the line
     and column of the ParseError, and every ParseError is raised through it.
-    ``term`` checks MAX_TERM_DEPTH as an argument list opens, where terms
+    Nothing recurses: ``term`` keeps the applications it has open on a
+    stack, and checks MAX_TERM_DEPTH as an argument list opens, where terms
     nest.
     """
 
@@ -147,24 +151,44 @@ class _Parser:
             self.fail("expected index of the form i or i+N")
         return int(self.expect("nat").text) if self.accept("+") else 0
 
-    def term(self, schematic: bool, depth: int = 1) -> Term:
-        if self.peek().kind == "sym":
-            sym = self.next().text
-            self.expect("punct", "[")
-            idx = self.index(schematic)
-            self.expect("punct", "]")
-            return var(sym, idx)
-        head_tok = self.expect("fun")
+    def term(self, schematic: bool) -> Term:
+        """One term, read without recursion: each application whose
+        argument list is open waits on a stack with the arguments read so
+        far, so the stack holds the depth of the term being read."""
+        stack: list[tuple[_Token, list[Term]]] = []
+        while True:
+            if self.peek().kind == "sym":
+                sym = self.next().text
+                self.expect("punct", "[")
+                idx = self.index(schematic)
+                self.expect("punct", "]")
+                t = var(sym, idx)
+            else:
+                head_tok = self.expect("fun")
+                if self.peek().text == "(":
+                    if len(stack) + 1 >= MAX_TERM_DEPTH:
+                        self.fail(f"term nested deeper than {MAX_TERM_DEPTH}")
+                    self.next()
+                    stack.append((head_tok, []))
+                    continue
+                t = self.app(head_tok, [])
+            # t is whole: it is an argument of the innermost open application,
+            # which closes unless another argument follows.
+            while stack:
+                head_tok, args = stack[-1]
+                args.append(t)
+                if self.accept(","):
+                    break
+                self.expect("punct", ")")
+                stack.pop()
+                t = self.app(head_tok, args)
+            if not stack:
+                return t
+
+    def app(self, head_tok: _Token, args: list[Term]) -> Term:
+        """The application of head_tok's function symbol to args, whose
+        arity must be the symbol's arity everywhere in the text."""
         head = head_tok.text
-        args: list[Term] = []
-        if self.peek().text == "(":
-            if depth >= MAX_TERM_DEPTH:
-                self.fail(f"term nested deeper than {MAX_TERM_DEPTH}")
-            self.next()
-            args.append(self.term(schematic, depth + 1))
-            while self.accept(","):
-                args.append(self.term(schematic, depth + 1))
-            self.expect("punct", ")")
         known = self.arities.setdefault(head, len(args))
         if known != len(args):
             self.fail(

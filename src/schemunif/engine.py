@@ -47,12 +47,15 @@ unfoldings; a variable already in it is not searched again.  Eligibility
 only grows with the store, so this reaches the store that judging each
 equation reaches: the least one closed under the conditions.
 
-``th_unif`` returns the classes (``EngineClass``), each with the members
-split into schema and plain ones and a flag for whether its bindings are
-in the store.  It builds the store's closure pairs, the next instance's
-input, and reads the store's variables per class.  The active set, the
-rest of the saturated set, is built from the classes only when it is read
-(``FinalConfiguration.active``), or when the gate runs.
+``th_unif`` returns its classes, of the one class type ``EngineClass``.
+It grows each as its union-find node, with every member in ``plain`` and
+the sides in an ordered set, then splits the members into schema and
+plain ones in place and flags whether the class is stored.  The store is
+the union of the stored classes' closures, the next instance's input; its
+variables are read per class.  The active set, the rest of the saturated
+set, is built from the classes only when it is read
+(``FinalConfiguration.active``), or when the gate runs.  The solver keeps
+its irrelevant set as classes too.
 
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
@@ -67,11 +70,10 @@ side holds one of its own members included.  So an acyclic graph gives
 "ok" at once, and a cycle runs ``unify``, which reports the cycle equation.
 
 The store's variable-equality orbits (x and y with both x = y and y = x
-stored, joined transitively) follow: a class's schema members, and its
-plain members if the class moved, as z = x is never stored for a schema
-variable z and a plain x.  The schema orbit is recorded as the class is
-split into its schema and plain members, the plain one when the class
-moves.  An orbit of one member is dropped.
+stored, joined transitively) are a stored class's schema members and its
+plain members, as z = x is never stored for a schema variable z and a
+plain x, and a class left out has at most one schema member; the solver
+reads them off the classes.
 """
 
 from __future__ import annotations
@@ -87,26 +89,29 @@ from .unify import Equation, UnifyFailure, sorted_eqs, unify
 
 
 class EngineClass:
-    """One class of the saturated set: its schema and plain members, its
-    distinct ``App`` sides in arrival order, the members the input binds to
-    themselves, and whether its bindings are in the store.  Read-only once
-    ``th_unif`` returns it."""
+    """A class of variables equated by ``Var = Var`` equations, with their
+    right sides (a multiequation, after Martelli and Montanari): its schema
+    and plain members, its distinct sides in arrival order, the members the
+    input binds to themselves, and whether its bindings are in the store.
+    ``th_unif`` returns its classes read-only; the solver's irrelevant
+    groups are classes too, with no schema members, never stored."""
 
-    __slots__ = ("schematic", "plain", "sides", "loops", "stored")
+    __slots__ = ("schematic", "plain", "sides", "loops", "stored", "_closure")
 
     def __init__(
         self,
-        schematic: tuple[Var, ...],
         plain: tuple[Var, ...],
-        sides: tuple[App, ...],
-        loops: tuple[Var, ...],
-        stored: bool,
+        sides: tuple[Term, ...],
+        loops: tuple[Var, ...] = (),
+        schematic: tuple[Var, ...] = (),
+        stored: bool = False,
     ):
-        self.schematic = schematic
         self.plain = plain
         self.sides = sides
         self.loops = loops
+        self.schematic = schematic
         self.stored = stored
+        self._closure: Optional[tuple[Equation, ...]] = None
 
     def vars(self) -> set[Variable]:
         """The variables of its bindings: its members and those of its
@@ -116,33 +121,35 @@ class EngineClass:
             *[t.vars for t in self.sides],
         )
 
-    def store_part(self) -> list[Equation]:
-        """The bindings the store holds once the class is stored: those of
-        its schema members but z = x for a plain x (condition 1), and all
-        of its plain members'."""
-        members = self.schematic + self.plain
-        return bindings(
-            self.schematic, self.schematic, self.sides, self.loops
-        ) + bindings(self.plain, members, self.sides, self.loops)
+    def closure(self) -> tuple[Equation, ...]:
+        """Its bindings, built on first call: x = y for distinct members x
+        and y but z = x for a schema z and a plain x (condition 1 never
+        stores those), x = t for every member x and side t, and x = x for
+        every looped member."""
+        if self._closure is None:
+            z, members = self.schematic, self.schematic + self.plain
+            out = [Equation(x, t) for x in members for t in self.sides]
+            out += [Equation(x, y) for x in z for y in z if y is not x]
+            out += [Equation(x, y) for x in self.plain for y in members if y is not x]
+            out += [Equation(x, x) for x in self.loops]
+            self._closure = tuple(out)
+        return self._closure
 
-
-def bindings(
-    xs: tuple[Var, ...],
-    ys: tuple[Var, ...],
-    rights: Iterable[Term],
-    loops: Iterable[Var],
-) -> list[Equation]:
-    """The saturated equations on the members xs of a class, all among ys:
-    x = y for every y of ys but x, x = r for every right side r, and x = x
-    for each x of xs among loops."""
-    if not xs:
-        return []
-    out = [Equation(x, r) for x in xs for r in rights]
-    if len(ys) > 1:
-        out += [Equation(x, y) for x in xs for y in ys if y is not x]
-    if loops:
-        out += [Equation(x, x) for x in xs if x in loops]
-    return out
+    def spanning(self) -> list[Equation]:
+        """A few equations with the closure's variables and unifiers: the
+        first schema member bound to the other ones and to each side, the
+        first plain member bound to the other ones, to the first schema
+        member and to each side, and each looped member to itself.  The
+        eq_sub of a store that holds the class sends these and the closure
+        to the same equations, reflexive ones aside."""
+        out: list[Equation] = []
+        for xs, others in ((self.schematic, ()), (self.plain, self.schematic[:1])):
+            if xs:
+                x0 = xs[0]
+                out += [Equation(x0, y) for y in xs[1:] + others]
+                out += [Equation(x0, t) for t in self.sides]
+        out += [Equation(x, x) for x in self.loops]
+        return out
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,6 @@ class FinalConfiguration:
     classes: tuple[EngineClass, ...] = field(compare=False)
     verdict: str  # "ok" | "clash" | "cycle"
     offending: Optional[Equation] = None
-    # The variable-equality orbits of the store: the classes of variables x,
-    # y with both x = y and y = x stored, each of at least two members.
-    orbits: frozenset[frozenset[Variable]] = frozenset()
     vars: frozenset[Variable] = frozenset()  # the store's variables
 
     @property
@@ -173,7 +177,7 @@ def _active(classes: Iterable[EngineClass]) -> list[Equation]:
     for c in classes:
         out += [Equation(z, x) for z in c.schematic for x in c.plain]
         if not c.stored:
-            out += c.store_part()
+            out += c.closure()
     return out
 
 
@@ -184,27 +188,18 @@ def store_eligible(x: Variable, eligible: AbstractSet[Variable]) -> bool:
     return x in eligible
 
 
-class _Class:
-    """A class of variables equated by ``Var = Var`` equations, with the
-    distinct ``App`` right sides bound to any of them, in arrival order."""
-
-    __slots__ = ("members", "sides")
-
-    def __init__(self, x: Var):
-        self.members = [x]
-        self.sides: dict[App, None] = {}  # an ordered set
-
-
 def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
     """Saturate, store, and gate an equation set against the schema."""
-    classes: dict[Variable, _Class] = {}
+    # While saturating, a class keeps every member in plain, in a list, and
+    # its sides in a dict (an ordered set).
+    classes: dict[Variable, EngineClass] = {}
     loops: set[Var] = set()  # the x of the input's x = x
     clash: Optional[Equation] = None
 
-    def class_of(x: Var) -> _Class:
+    def class_of(x: Var) -> EngineClass:
         c = classes.get(x.var)
         if c is None:
-            c = classes[x.var] = _Class(x)
+            c = classes[x.var] = EngineClass([x], {})
         return c
 
     work: list[tuple[Term, Term]] = []
@@ -237,41 +232,36 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         d = class_of(t)
         if c is d:
             continue
-        if len(c.members) < len(d.members):
+        if len(c.plain) < len(d.plain):
             c, d = d, c
         new = [u for u in d.sides if u not in c.sides]
         work.extend((u, w) for u in new for w in c.sides)
         c.sides.update(dict.fromkeys(new))
-        for x in d.members:
+        for x in d.plain:
             classes[x.var] = c
-        c.members.extend(d.members)
+        c.plain.extend(d.plain)
 
     distinct = list(dict.fromkeys(classes.values()))
-    out: list[EngineClass] = []
     for c in distinct:
-        schematic = tuple([x for x in c.members if schema.contains(x.var)])
-        sides = tuple(c.sides)
-        own_loops = tuple([x for x in c.members if x in loops]) if loops else ()
+        members = c.plain
+        z = c.schematic = tuple([x for x in members if schema.contains(x.var)])
+        c.plain = tuple([x for x in members if not schema.contains(x.var)])
+        c.sides = tuple(c.sides)
+        if loops:
+            c.loops = tuple([x for x in members if x in loops])
         # Condition 1 stores a binding of a schema member, and so puts the
         # plain members in the store too.  Nothing is stored past a clash.
-        fixed = len(schematic) > 1 or bool(
-            schematic and (sides or schematic[0] in own_loops)
-        )
-        plain = tuple([x for x in c.members if not schema.contains(x.var)])
-        out.append(
-            EngineClass(schematic, plain, sides, own_loops, fixed and clash is None)
+        c.stored = clash is None and (
+            len(z) > 1 or bool(z and (c.sides or z[0] in c.loops))
         )
     if clash is not None:  # all of the saturated set met so far is active
-        return FinalConfiguration(frozenset(), tuple(out), "clash", clash)
+        return FinalConfiguration(frozenset(), tuple(distinct), "clash", clash)
 
-    orbits: list[frozenset[Variable]] = []  # one-member ones dropped at the end
     store_vars: set[Variable] = set()
     waiting: list[EngineClass] = []
-    for c in out:
-        orbits.append(frozenset([x.var for x in c.schematic]))
+    for c in distinct:
         if c.stored:
             store_vars.update(c.vars())
-            orbits.append(frozenset([x.var for x in c.plain]))
         else:
             waiting.append(c)
     # No waiting variable lies above bound, and unfolding never lowers an
@@ -292,26 +282,22 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             moved = c.vars()
             store_vars.update(moved)
             schema.unfold_into(eligible, moved, bound)
-            orbits.append(frozenset([x.var for x in c.plain]))
         waiting = [c for c in waiting if not c.stored]
 
-    store = frozenset([e for c in out if c.stored for e in c.store_part()])
+    store = frozenset([e for c in distinct if c.stored for e in c.closure()])
     verdict, offending = "ok", None
     if not _acyclic(distinct, classes):
-        gate = unify(list(store) + _active(out))
+        gate = unify(list(store) + _active(distinct))
         if isinstance(gate, UnifyFailure):
             verdict, offending = gate.kind, gate.equation
     return FinalConfiguration(
-        store,
-        tuple(out),
-        verdict,
-        offending,
-        frozenset(o for o in orbits if len(o) > 1),
-        frozenset(store_vars),
+        store, tuple(distinct), verdict, offending, frozenset(store_vars)
     )
 
 
-def _acyclic(distinct: list[_Class], classes: dict[Variable, _Class]) -> bool:
+def _acyclic(
+    distinct: list[EngineClass], classes: dict[Variable, EngineClass]
+) -> bool:
     """Does no class reach itself through the classes of the variables in
     its sides?  ``graphlib`` orders the graph from each class to those
     classes, or raises ``CycleError``; a self-loop is a cycle.  A graph

@@ -10,19 +10,20 @@ simplified stores — such a renaming proves the instance sequence loops, so
 every instance is unifiable.
 
 The irrelevant set is kept as groups, one per engine class left out of the
-store (a multiequation, after Martelli and Montanari): its plain members,
-its right sides and its looped members, standing for the closure pairs
-that bind every plain member to every other one and to every right side.
-Each instance applies its step to each carried right side once; the plain
+store.  A group is an ``EngineClass`` too (a multiequation, after Martelli
+and Montanari), with no schema members: the class's plain members, least
+first, and as its sides the class's schema members and sides, standing for
+its closure, which binds every plain member to every other one and to every
+side.  Each instance applies its step to each carried side once; the plain
 members are not schema variables, so the step fixes them.  The occurs
-check unifies one spanning set per group, the least plain member bound to
-each other member and to each right side: plain unification is transitive,
-so it has the unifiers of the closure, at O(|C|) equations for a class C
-in place of O(|C|^2).  The unfolding depth and the irrelevant variables
-are read off the groups, and ``InstanceRecord.irr``, the closure, is built
-only when it is read.  The store's closure pairs stay the next engine
-input, as the engine's saturation is not transitive through sides; its
-variables, and the normalized and simplified store, are read per class.
+check unifies each group's spanning set, the least plain member bound to
+each other member and to each side: plain unification is transitive, so it
+has the unifiers of the closure, at O(|C|) equations for a class C in place
+of O(|C|^2).  The unfolding depth and the irrelevant variables are read off
+the groups, and ``InstanceRecord.irr``, the closure, is built only when it
+is read.  The store's closure pairs stay the next engine input, as the
+engine's saturation is not transitive through sides; its variables, its
+orbits, and the normalized and simplified store are read per class.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
-from .engine import EngineClass, bindings, th_unif
+from .engine import EngineClass, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import make_primitive  # noqa: F401
@@ -49,34 +50,6 @@ from .unify import (
 )
 
 
-class IrrGroup:
-    """The irrelevant bindings of one engine class left out of the store:
-    every plain member bound to every other one and to every right side (the
-    class's schema members and sides, unfolded as the instances go on), and
-    the looped members to themselves.  Read-only; records share groups."""
-
-    __slots__ = ("plain", "rights", "loops", "_closure")
-
-    def __init__(
-        self,
-        plain: tuple[Var, ...],  # the least variable first
-        rights: tuple[Term, ...],
-        loops: tuple[Var, ...],
-    ):
-        self.plain = plain
-        self.rights = rights
-        self.loops = loops
-        self._closure: Optional[frozenset[Equation]] = None
-
-    def closure(self) -> frozenset[Equation]:
-        """Its bindings, built on first call."""
-        if self._closure is None:
-            self._closure = frozenset(
-                bindings(self.plain, self.plain, self.rights, self.loops)
-            )
-        return self._closure
-
-
 @dataclass
 class InstanceRecord:
     """Snapshot of one solver iteration, sufficient for the later j-scan
@@ -85,7 +58,7 @@ class InstanceRecord:
     i: int
     store: frozenset[Equation]
     vars: frozenset[Variable]  # the variables of the store
-    groups: tuple[IrrGroup, ...]  # the irrelevant set
+    groups: tuple[EngineClass, ...]  # the irrelevant set
     step_sub: Substitution
     eq_sub: Substitution
     fr: frozenset[Variable]
@@ -148,20 +121,19 @@ def step_substitution(
 
 
 def irrelevant_set(
-    carried: Iterable[IrrGroup],
+    carried: Iterable[EngineClass],
     psi: Substitution,
     classes: Iterable[EngineClass],
     schema: Schema,
-) -> tuple[tuple[IrrGroup, ...], list[Equation], frozenset[Variable], int]:
+) -> tuple[tuple[EngineClass, ...], list[Equation], frozenset[Variable], int]:
     """The irrelevant set of an instance, as groups: those carried from the
-    previous instance, with its step psi applied to their right sides (psi
+    previous instance, with its step psi applied to their sides (psi
     unfolds only schema variables, so it fixes every plain member), then one
     for each class that the engine left out of the store.  One scan of the
     groups reads off the rest of the result:
 
-    - the spanning equations, each group's least plain member bound to each
-      other member and each right side, which are unifiable exactly when
-      the closure of the groups is;
+    - their spanning equations but the looped members' x = x, which are
+      unifiable exactly when the closure of the groups is;
     - the variables outside the schema;
     - the depth, the unfolding steps that cover the index gap between the
       plain members and the deepest schema variable: i_max - r_min + 1 over
@@ -171,22 +143,19 @@ def irrelevant_set(
     if psi and groups:
         go = psi.applier()
         for k, g in enumerate(groups):
-            unfolded = tuple([go(r) for r in g.rights])
-            if unfolded != g.rights:
-                groups[k] = IrrGroup(g.plain, unfolded, g.loops)
+            unfolded = tuple([go(r) for r in g.sides])
+            if unfolded != g.sides:
+                groups[k] = EngineClass(g.plain, unfolded, g.loops)
     for c in classes:
         if c.plain and not c.stored:
             plain = tuple(sorted(c.plain, key=attrgetter("var")))
-            groups.append(IrrGroup(plain, c.schematic + c.sides, c.loops))
+            groups.append(EngineClass(plain, c.schematic + c.sides, c.loops))
     eqs: list[Equation] = []
     plain_vars: set[Variable] = set()
     right_vars: set[Variable] = set()
     for g in groups:
-        x0 = g.plain[0]
-        for y in g.plain[1:]:
-            eqs.append(Equation(x0, y))
-        for r in g.rights:
-            eqs.append(Equation(x0, r))
+        eqs += [e for e in g.spanning() if e.lhs is not e.rhs]
+        for r in g.sides:
             right_vars |= r.vars
         for x in g.plain:
             plain_vars |= x.vars
@@ -214,15 +183,17 @@ def cycle_check(
     return result if isinstance(result, UnifyFailure) else None
 
 
-def compute_eq_sub(orbits: frozenset[frozenset[Variable]]) -> Substitution:
-    """Collapse each variable-equality orbit (``FinalConfiguration.orbits``)
-    onto its maximal-index member; index ties break toward the
-    lexicographically larger symbol."""
+def compute_eq_sub(classes: Iterable[EngineClass]) -> Substitution:
+    """Collapse each variable-equality orbit of the store, the schema
+    members of a stored class and its plain members, onto its maximal-index
+    member; index ties break toward the lexicographically larger symbol."""
     reps: dict[Variable, Term] = {}
-    for members in orbits:
-        rep = Var(max(members, key=lambda v: (v.index, v.symbol)))
-        for v in members:
-            reps[v] = rep
+    for c in classes:
+        for members in (c.schematic, c.plain) if c.stored else ():
+            if len(members) > 1:
+                rep = max(members, key=lambda x: (x.var.index, x.var.symbol))
+                for x in members:
+                    reps[x.var] = rep
     return Substitution(reps)
 
 
@@ -240,32 +211,6 @@ def future_relevant(
         for x in store_vars
         if not schema.contains(x) and x.index >= lowest.get(x.symbol, x.index + 1)
     )
-
-
-def store_spanning(classes: Iterable[EngineClass]) -> list[Equation]:
-    """A few equations per stored class with the variables of its store part
-    and, under eq_sub, its image.  A stored class's schema members are one
-    orbit and its plain members another, so eq_sub sends them to two
-    representatives, and the store part reads as: the first schema member
-    bound to the other ones and to each side, the first plain member bound
-    to the other ones, to a schema member and to each side, and each looped
-    member bound to itself.  A class stored only through a plain member has
-    at most one schema member and no side, so its schema part is empty, as
-    in the store."""
-    out: list[Equation] = []
-    for c in classes:
-        if not c.stored:
-            continue
-        for xs, others in ((c.schematic, ()), (c.plain, c.schematic[:1])):
-            if xs:
-                x0 = xs[0]
-                for y in xs[1:] + others:
-                    out.append(Equation(x0, y))
-                for t in c.sides:
-                    out.append(Equation(x0, t))
-        for x in c.loops:
-            out.append(Equation(x, x))
-    return out
 
 
 def normalized_store(
@@ -433,9 +378,11 @@ def u_sch_unif(
             stab = stab_index(problem, psi)
             if cap is None:
                 cap = _default_cap(problem, stab)
-        eq_sub = compute_eq_sub(fc.orbits)
+        eq_sub = compute_eq_sub(fc.classes)
         irrv = irr_vars - store_vars
-        normalized = normalized_store(store_spanning(fc.classes), schema)
+        normalized = normalized_store(
+            [e for c in fc.classes if c.stored for e in c.spanning()], schema
+        )
         # eq_sub maps each orbit onto a member, and every orbit member
         # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
         live = len(eq_vars(normalized) - eq_sub.domain())

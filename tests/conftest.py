@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from schemunif.cli import parse_problem
 from schemunif.engine import EngineClass, FinalConfiguration
 from schemunif.schema import Schema
-from schemunif.solver import SchematicProblem
+from schemunif.solver import SchematicProblem, compute_eq_sub
 from schemunif.terms import App, Var, Variable, app, var, variables
 from schemunif.unify import (
     Equation,
@@ -222,6 +222,23 @@ def uniform_problems(max_offset=3):
         st.lists(st.builds(Equation, side, side), max_size=1),
     )
     return st.builds(SchematicProblem, eqs, schema)
+
+
+@st.composite
+def carried_group_problems(draw):
+    """Problems over a schema of uniform_problems with L[k] = f(W[0], L[m]),
+    which puts L[m] (m > k) in the store, and Y[n] = t for a term t over
+    L[m], and in half of them the equations of a problem of
+    uniform_problems too.  Unless those put Y[n] in the store, Y[n]'s
+    irrelevant group holds L[m] in a side, and the next step unfolds it."""
+    problem = draw(uniform_problems())
+    k, d, n = draw(st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3)))
+    lm = var("L", k + d)
+    t = draw(st.sampled_from([lm, app("g", lm), f(var("X", n), lm)]))
+    eqs = {eq(var("L", k), f(var("W", 0), lm)), eq(var("Y", n), t)}
+    if draw(st.booleans()):
+        eqs |= problem.equations
+    return SchematicProblem(frozenset(eqs), problem.schema)
 
 
 def shaped_base(shape, p1, p2, slot):
@@ -588,25 +605,46 @@ def reference_configuration(store, active, schema, verdict, offending):
             stored.add(root)
     classes = tuple(
         EngineClass(
-            tuple(x for x in xs if schema.contains(x.var)),
             tuple(x for x in xs if not schema.contains(x.var)),
             tuple(sides.get(root, ())),
             tuple(loops.get(root, ())),
+            tuple(x for x in xs if schema.contains(x.var)),
             root in stored,
         )
         for root, xs in members.items()
     )
     fc = FinalConfiguration(
-        frozenset(store),
-        classes,
-        verdict,
-        offending,
-        reference_orbits(store),
-        eq_vars(store),
+        frozenset(store), classes, verdict, offending, eq_vars(store)
     )
     assert fc.active == active, "the saturated set is not closure-shaped"
-    assert {e for c in classes if c.stored for e in c.store_part()} == store
+    assert {e for c in classes if c.stored for e in c.closure()} == store
+    assert eq_sub_orbits(compute_eq_sub(classes)) == reference_orbits(store)
     return fc
+
+
+def eq_sub_orbits(sub):
+    """The orbits an eq_sub collapses: each representative with the
+    variables sent to it."""
+    orbits = {}
+    for v, rep in sub.mapping.items():
+        orbits.setdefault(rep.var, {rep.var}).add(v)
+    return frozenset(frozenset(o) for o in orbits.values())
+
+
+def assert_spanning_stands_for_closure(c, eq_sub=None):
+    """A class's spanning set has its closure's variables and unify
+    verdict, and, under the eq_sub of a store that holds the class, the
+    closure's image less the reflexive pairs."""
+    span, closure = c.spanning(), c.closure()
+    assert eq_vars(span) == eq_vars(closure)
+    verdicts = [getattr(unify(eqs), "kind", "ok") for eqs in (span, closure)]
+    assert verdicts[0] == verdicts[1]
+    if eq_sub is not None:
+        images = [
+            {e for e in eq_sub.apply_eqs(eqs) if e.lhs is not e.rhs}
+            for eqs in (span, closure)
+        ]
+        assert images[0] == images[1]
 
 
 def reference_orbits(store):
@@ -677,7 +715,7 @@ def reference_instances(problem, n):
             depth = max(i_max - r_min + 1, 0)
         irr_cycle = i > 0 and not unifiable(schema.instance_eqs(irr, depth))
         rep = {}
-        for orbit in fc.orbits:
+        for orbit in reference_orbits(fc.store):
             top = Var(max(orbit, key=lambda v: (v.index, v.symbol)))
             rep.update((v, top) for v in orbit if v != top.var)
         collapse = Substitution(rep)

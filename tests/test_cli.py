@@ -350,6 +350,43 @@ def test_depth_limit_is_inclusive():
     assert (info.value.line, info.value.column) == (1, deep.index("X[0]"))
 
 
+def test_depth_limit_holds_at_the_default_recursion_limit():
+    """conftest raises the recursion limit, so a fresh interpreter checks
+    the parser at the default one: it reads a term MAX_TERM_DEPTH deep,
+    and rejects one a level deeper with the error it gives here."""
+    text = "schema: L[i] -> f(X[i], L[i+1]); problem: L[0] = {};"
+    ok, deep = (text.format(_nested(d)) for d in (MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1))
+    script = (
+        "import json, sys\n"
+        "from schemunif.cli import ParseError, parse_problem\n"
+        "ok, deep = json.load(sys.stdin)\n"
+        "(e,) = parse_problem(ok).problem.equations\n"
+        "try:\n"
+        "    parse_problem(deep)\n"
+        "except ParseError as err:\n"
+        "    out = [str(err), err.line, err.column]\n"
+        "print(json.dumps([sys.getrecursionlimit(), e.rhs.depth, out]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([ok, deep]),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ParseError) as info:
+        parse_problem(deep)
+    err = info.value
+    assert (err.line, err.column) == (1, deep.index("X[0]"))
+    assert json.loads(proc.stdout) == [
+        1000,
+        MAX_TERM_DEPTH,
+        [str(err), err.line, err.column],
+    ]
+
+
 def test_an_earlier_error_comes_before_the_depth_limit():
     text = "schema: L[i] -> f(X[i], L[i+1]) problem: L[0] = {};"
     with pytest.raises(ParseError, match="expected ';'"):

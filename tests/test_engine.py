@@ -7,7 +7,12 @@ from schemunif import solver
 from schemunif.cli import parse_problem
 from schemunif.engine import store_eligible, th_unif
 from schemunif.schema import Schema
-from schemunif.solver import NotUnifiable, SchematicProblem, u_sch_unif
+from schemunif.solver import (
+    NotUnifiable,
+    SchematicProblem,
+    compute_eq_sub,
+    u_sch_unif,
+)
 from schemunif.terms import App, Var, Variable, app, var
 from schemunif.unify import Equation, Substitution, eq_vars, unify
 
@@ -18,8 +23,10 @@ from .conftest import (
     X,
     Y,
     Z,
+    assert_spanning_stands_for_closure,
     derandomized_examples,
     eq,
+    eq_sub_orbits,
     equations,
     f,
     h,
@@ -38,10 +45,18 @@ def ex_schema():
     return Schema.of({"L": EX_BASE})
 
 
+def orbits(fc):
+    """The store's orbits as the solver reads them off the classes."""
+    return eq_sub_orbits(compute_eq_sub(fc.classes))
+
+
 def same_configuration(a, b):
-    """Equal configurations with equal active sets; the active set is read
-    off the classes, which equality leaves out."""
-    return a == b and a.active == b.active
+    """Equal configurations with equal active sets and the reference's
+    orbits of the store; the active set and the orbits are read off the
+    classes, which equality leaves out."""
+    return (
+        a == b and a.active == b.active and orbits(a) == reference_orbits(a.store)
+    )
 
 
 def test_first_instance_store():
@@ -414,20 +429,20 @@ def test_acyclic_diamond_is_ok():
 
 def _orbits_of(eqs):
     fc = th_unif(eqs, ex_schema())
-    assert fc.ok and fc.orbits == reference_orbits(fc.store)
+    assert fc.ok and orbits(fc) == reference_orbits(fc.store)
     return fc
 
 
 def test_schema_variables_of_a_class_are_an_orbit():
     # Condition 1 stores z = z' for any two schema variables, bound or not.
     fc = _orbits_of([eq(L(1), L(2)), eq(L(2), L(3))])
-    assert fc.orbits == {frozenset([L(1).var, L(2).var, L(3).var])}
+    assert orbits(fc) == {frozenset([L(1).var, L(2).var, L(3).var])}
 
 
 def test_other_variables_are_an_orbit_once_the_store_binds_one():
     # L[1]'s binding puts X[3] in the store; nothing ties Z[3] or Z[5].
     fc = _orbits_of([eq(X(3), X(5)), eq(Z(3), Z(5)), eq(L(1), h(X(3), X(0)))])
-    assert fc.orbits == {frozenset([X(3).var, X(5).var])}
+    assert orbits(fc) == {frozenset([X(3).var, X(5).var])}
     assert eq(Z(3), Z(5)) in fc.active
 
 
@@ -438,7 +453,7 @@ def test_no_orbit_mixes_schema_and_other_variables():
         [eq(L(1), L(2)), eq(L(2), X(3)), eq(X(3), X(5)), eq(L(1), h(X(0), X(0)))]
     )
     assert eq(X(3), L(1)) in fc.store and eq(L(1), X(3)) in fc.active
-    assert fc.orbits == {
+    assert orbits(fc) == {
         frozenset([L(1).var, L(2).var]),
         frozenset([X(3).var, X(5).var]),
     }
@@ -467,7 +482,7 @@ def test_plain_members_move_with_two_schema_members():
     fc = _moves([eq(L(0), L(1)), eq(L(1), Y(0))], ex_schema())
     assert {eq(L(0), L(1)), eq(Y(0), L(0)), eq(Y(0), L(1))} <= fc.store
     assert fc.active == {eq(L(0), Y(0)), eq(L(1), Y(0))}
-    assert fc.orbits == {frozenset([L(0).var, L(1).var])}
+    assert orbits(fc) == {frozenset([L(0).var, L(1).var])}
 
 
 def test_plain_members_move_with_a_reflexive_schema_member():
@@ -494,7 +509,7 @@ def test_class_moves_in_a_later_round_through_reachability():
     eqs = [eq(L(0), app("g", w)), eq(w, f(L(1), app("a"))), eq(X(3), u)]
     fc = _moves(eqs, schema)
     assert {eq(X(3), u), eq(u, X(3))} <= fc.store
-    assert fc.orbits == {frozenset([X(3).var, u.var])}
+    assert orbits(fc) == {frozenset([X(3).var, u.var])}
 
 
 # Few variables, one binary head and one constant: equations chain variables
@@ -527,6 +542,21 @@ def test_orbit_saturation_matches_reference_engine(rules, eqs):
     if fc.verdict != "clash":
         assert same_configuration(fc, want)
         assert fc.ok == isinstance(unify(fc.store | fc.active), Substitution)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(ENGINE_RULES),
+    st.one_of(_orbit_lists, _equation_lists),
+)
+def test_each_class_spans_its_closure(rules, eqs):
+    """The solver reads a class through its spanning set (the store's
+    normalized and simplified forms) and its closure (the store, the next
+    engine input); the two must agree on every class th_unif returns."""
+    fc = th_unif(eqs, Schema.of(rules))
+    eq_sub = compute_eq_sub(fc.classes)
+    for c in fc.classes:
+        assert_spanning_stands_for_closure(c, eq_sub if c.stored else None)
 
 
 BLOW_UP_1 = (

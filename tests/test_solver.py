@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from schemunif import solver
 from schemunif.cli import parse_problem
-from schemunif.engine import th_unif
+from schemunif.engine import EngineClass, th_unif
 from schemunif.oracle import bounded_check
 from schemunif.schema import Schema, make_primitive
 from schemunif.solver import (
     CycleFound,
     Exhausted,
-    IrrGroup,
     NotUnifiable,
     SchematicProblem,
     check_for_map,
@@ -36,6 +35,8 @@ from .conftest import (
     X,
     Y,
     Z,
+    assert_spanning_stands_for_closure,
+    carried_group_problems,
     eq,
     f,
     h,
@@ -61,10 +62,10 @@ def test_step_substitution_unfolds_store_schema_vars():
 
 
 def irr_of(*groups):
-    """The irrelevant set of the groups given as (plain, rights) pairs:
+    """The irrelevant set of the groups given as (plain, sides) pairs:
     groups, spanning equations, variables and depth."""
     return irrelevant_set(
-        [IrrGroup(tuple(plain), tuple(rights), ()) for plain, rights in groups],
+        [EngineClass(tuple(plain), tuple(sides)) for plain, sides in groups],
         Substitution(),
         (),
         ex_schema(),
@@ -95,11 +96,11 @@ def test_irrelevant_set_keeps_non_schema_bindings():
 def test_irrelevant_set_carries_groups_through_the_step():
     # psi unfolds L[1] in the right side; the plain members stay.
     schema = ex_schema()
-    group = IrrGroup((Y(0), Y(2)), (L(1),), (Y(2),))
+    group = EngineClass((Y(0), Y(2)), (L(1),), (Y(2),))
     psi = step_substitution(frozenset([L(1).var]), schema)
     (g,), spanning, _, _ = irrelevant_set([group], psi, (), schema)
-    assert (g.plain, g.rights, g.loops) == ((Y(0), Y(2)), (shift(1, EX_BASE),), (Y(2),))
-    assert g.closure() == {
+    assert (g.plain, g.sides, g.loops) == ((Y(0), Y(2)), (shift(1, EX_BASE),), (Y(2),))
+    assert set(g.closure()) == {
         eq(Y(0), Y(2)),
         eq(Y(2), Y(0)),
         eq(Y(0), shift(1, EX_BASE)),
@@ -150,7 +151,7 @@ def eq_sub_of(eqs, schema):
     """The store of th_unif on eqs, and the eq_sub of its orbits."""
     fc = th_unif(eqs, schema)
     assert fc.ok
-    return fc.store, compute_eq_sub(fc.orbits)
+    return fc.store, compute_eq_sub(fc.classes)
 
 
 def test_compute_eq_sub_collapses_orbits():
@@ -172,8 +173,8 @@ def test_compute_eq_sub_ignores_one_directional_pairs():
 
 
 def test_compute_eq_sub_ties_break_on_symbol():
-    orbit = frozenset([X(3).var, Z(3).var])
-    assert compute_eq_sub(frozenset([orbit])).mapping == {X(3).var: Z(3)}
+    orbit = EngineClass((X(3), Z(3)), (), stored=True)
+    assert compute_eq_sub([orbit]).mapping == {X(3).var: Z(3)}
 
 
 def test_compute_eq_sub_merges_chained_orbit():
@@ -540,18 +541,44 @@ def test_solver_agrees_with_oracle_on_multi_rule_problems(problem):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(st.one_of(uniform_problems(), multi_rule_problems(), tied_rings()))
+@given(
+    st.one_of(
+        uniform_problems(),
+        multi_rule_problems(),
+        tied_rings(),
+        carried_group_problems(),
+    )
+)
 def test_records_match_the_closure_pair_reference(problem):
     """The irrelevant set kept as groups, the active set built from the
     engine's classes, and the store's variables and simplified store read
     per class equal what the earlier loop over closure pairs builds, record
     by record, and an irr-cycle comes at the reference's instance with its
-    depth."""
+    depth.  In about one in six examples, drawn by carried_group_problems,
+    a step unfolds a carried group."""
     assert_matches_closure_pair_reference(problem, 12)
 
 
-# Generated problems whose irrelevant groups hold a schema variable that
-# the next step unfolds; about one in a hundred generated problems does.
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.one_of(uniform_problems(), multi_rule_problems(), carried_group_problems())
+)
+def test_each_irrelevant_group_spans_its_closure(problem):
+    """cycle_check unifies a group's spanning set, and InstanceRecord.irr
+    is its closure."""
+    for rec in u_sch_unif(problem, cap=12).records:
+        for g in rec.groups:
+            assert_spanning_stands_for_closure(g)
+
+
+# Problems whose irrelevant groups hold a schema variable that the next
+# step unfolds, found among generated ones before carried_group_problems.
 UNFOLDED_RIGHTS = [
     "schema: L[i] -> f(X[i+3], L[i+1]); problem: L[0] = f(L[1], L[1]);",
     "schema: L[i] -> f(f(X[i+2], X[i+2]), L[i+3]);"
