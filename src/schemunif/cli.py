@@ -46,10 +46,9 @@ from .unify import Equation, sorted_eqs
 
 
 # Far deeper than any real problem.  The parser reads any depth without
-# recursion, but the printers (``str`` fails at about 300 levels under the
-# interpreter's default limit) and the term walks (``shift``,
-# ``Schema.normalize``, the unifier, the oracle) recurse once or more per
-# level: they rely on the recursion limit that ``main`` raises.
+# recursion; the printers (``str`` fails from about 300 levels under the
+# default limit) and the term walks (``shift``, ``Schema.normalize``, the
+# unifier, the oracle) recurse per level and rely on ``main``'s limit.
 MAX_TERM_DEPTH = 1000
 
 

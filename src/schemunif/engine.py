@@ -47,15 +47,14 @@ unfoldings; a variable already in it is not searched again.  Eligibility
 only grows with the store, so this reaches the store that judging each
 equation reaches: the least one closed under the conditions.
 
-``th_unif`` returns its classes, of the one class type ``EngineClass``.
-It grows each as its union-find node, with every member in ``plain`` and
-the sides in an ordered set, then splits the members into schema and
-plain ones in place and flags whether the class is stored.  The store is
-the union of the stored classes' closures, the next instance's input; its
-variables are read per class.  The active set, the rest of the saturated
-set, is built from the classes only when it is read
-(``FinalConfiguration.active``), or when the gate runs.  The solver keeps
-its irrelevant set as classes too.
+``th_unif`` grows each class as its union-find node, an ``EngineClass``
+with every member in ``plain`` and the sides in an ordered set, then
+splits the members into schema and plain ones in place, flags whether the
+class is stored, and returns the classes.  The store, the next instance's
+input, is the union of the stored classes' closures; its variables are
+read per class.  The active set, the rest of the saturated set, is built
+from the classes only when it is read (``FinalConfiguration.active``), or
+when the gate runs.
 
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
@@ -127,10 +126,12 @@ class EngineClass:
         stores those), x = t for every member x and side t, and x = x for
         every looped member."""
         if self._closure is None:
-            z, members = self.schematic, self.schematic + self.plain
+            z, p = self.schematic, self.plain
+            members = z + p
             out = [Equation(x, t) for x in members for t in self.sides]
-            out += [Equation(x, y) for x in z for y in z if y is not x]
-            out += [Equation(x, y) for x in self.plain for y in members if y is not x]
+            if len(members) > 1:
+                out += [Equation(x, y) for x in z for y in z if y is not x]
+                out += [Equation(x, y) for x in p for y in members if y is not x]
             out += [Equation(x, x) for x in self.loops]
             self._closure = tuple(out)
         return self._closure

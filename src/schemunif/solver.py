@@ -154,7 +154,8 @@ def irrelevant_set(
     plain_vars: set[Variable] = set()
     right_vars: set[Variable] = set()
     for g in groups:
-        eqs += [e for e in g.spanning() if e.lhs is not e.rhs]
+        span = g.spanning()
+        eqs += [e for e in span if e.lhs is not e.rhs] if g.loops else span
         for r in g.sides:
             right_vars |= r.vars
         for x in g.plain:
