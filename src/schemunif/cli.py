@@ -453,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     sys.setrecursionlimit(100_000)
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,12 +49,12 @@ equation reaches: the least one closed under the conditions.
 
 ``th_unif`` grows each class as its union-find node, an ``EngineClass``
 with every member in ``plain`` and the sides in an ordered set, then
-splits the members into schema and plain ones in place, flags whether the
-class is stored, and returns the classes.  The store, the next instance's
-input, is the union of the stored classes' closures; its variables are
-read per class.  The active set, the rest of the saturated set, is built
-from the classes only when it is read (``FinalConfiguration.active``), or
-when the gate runs.
+splits the members into schema and plain ones in place and, in one pass,
+flags which classes condition 1 stores.  The store, the next instance's
+input, is the union of the stored classes' closures, each built once and
+cached; its variables are read per class.  The active set, the rest of
+the saturated set, is built from the closures on each read of
+``FinalConfiguration.active``, and when the gate runs.
 
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import AbstractSet, Iterable, Optional
 
 from .schema import Schema
@@ -167,9 +166,10 @@ class FinalConfiguration:
     def ok(self) -> bool:
         return self.verdict == "ok"
 
-    @cached_property
+    @property
     def active(self) -> frozenset[Equation]:
-        """The saturated set less the store, built on first read."""
+        """The saturated set less the store, built on each read from the
+        classes' cached closures."""
         return frozenset(_active(self.classes))
 
 
@@ -243,6 +243,8 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         c.plain.extend(d.plain)
 
     distinct = list(dict.fromkeys(classes.values()))
+    store_vars: set[Variable] = set()
+    waiting: list[EngineClass] = []
     for c in distinct:
         members = c.plain
         z = c.schematic = tuple([x for x in members if schema.contains(x.var)])
@@ -255,16 +257,13 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         c.stored = clash is None and (
             len(z) > 1 or bool(z and (c.sides or z[0] in c.loops))
         )
-    if clash is not None:  # all of the saturated set met so far is active
-        return FinalConfiguration(frozenset(), tuple(distinct), "clash", clash)
-
-    store_vars: set[Variable] = set()
-    waiting: list[EngineClass] = []
-    for c in distinct:
         if c.stored:
             store_vars.update(c.vars())
         else:
             waiting.append(c)
+    if clash is not None:  # all of the saturated set met so far is active
+        return FinalConfiguration(frozenset(), tuple(distinct), "clash", clash)
+
     # No waiting variable lies above bound, and unfolding never lowers an
     # index, so the search for condition 3 stops there.
     bound = max((x.var.index for c in waiting for x in c.plain), default=-1)

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .terms import App, Term, Var, Variable, shift, var, variables
+from .terms import App, Term, Var, Variable, shift, var
 from .unify import Equation, Substitution, eq_vars
 
 
@@ -90,7 +90,7 @@ class Schema:
 
     def recursion_offsets(self, symbol: str) -> frozenset[int]:
         return frozenset(
-            v.index for v in variables(self.base(symbol)) if v.symbol == symbol
+            v.index for v in self.base(symbol).vars if v.symbol == symbol
         )
 
     def unfold_into(
@@ -123,7 +123,7 @@ class Schema:
     def classify(self) -> SchemaClass:
         dom = self.domain
         for t in self.base_set():
-            syms = {v.symbol for v in variables(t)}
+            syms = {v.symbol for v in t.vars}
             if len(syms & dom) > 1:
                 return SchemaClass.NOT_SIMPLE
         offsets = [self.recursion_offsets(s) for s in dom]
@@ -234,7 +234,7 @@ def make_primitive(
 
     names = _FreshNames()
     for t in schema.base_set():
-        names.taken |= {v.symbol for v in variables(t)}
+        names.taken |= {v.symbol for v in t.vars}
 
     acc = Substitution()
     while True:
@@ -263,9 +263,9 @@ def _flattening_sub(
     bindings: dict[Variable, Term] = {Variable(target, m): var(target, 1)}
     base_vars = set()
     for t in schema.base_set():
-        base_vars |= variables(t)
+        base_vars |= t.vars
     parameters = sorted(
-        {v.symbol for v in variables(schema.base(target))} - {target}
+        {v.symbol for v in schema.base(target).vars} - {target}
     )
     for p in parameters:
         occurrences = sorted(v.index for v in base_vars if v.symbol == p)

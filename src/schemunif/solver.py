@@ -20,10 +20,11 @@ check unifies each group's spanning set, the least plain member bound to
 each other member and to each side: plain unification is transitive, so it
 has the unifiers of the closure, at O(|C|) equations for a class C in place
 of O(|C|^2).  The unfolding depth and the irrelevant variables are read off
-the groups, and ``InstanceRecord.irr``, the closure, is built only when it
-is read.  The store's closure pairs stay the next engine input, as the
-engine's saturation is not transitive through sides; its variables, its
-orbits, and the normalized and simplified store are read per class.
+the groups; ``InstanceRecord.irr``, the union of the closures each group
+builds once and caches, is built on each read.  The store's closure pairs
+stay the next engine input, as the engine's saturation is not transitive
+through sides; its variables, its orbits, and the normalized and
+simplified store are read per class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
@@ -68,10 +68,10 @@ class InstanceRecord:
     metric_live: int  # |vars(NStore.eq_sub)| - |irrV|
     ratio: Optional[Fraction] = None
 
-    @cached_property
+    @property
     def irr(self) -> frozenset[Equation]:
-        """The irrelevant set: the closure of its groups, built on first
-        read."""
+        """The irrelevant set: the union of its groups' cached closures,
+        built on each read."""
         return frozenset().union(*[g.closure() for g in self.groups])
 
 
@@ -217,16 +217,8 @@ def future_relevant(
 def normalized_store(
     store: Iterable[Equation], schema: Schema
 ) -> frozenset[Equation]:
-    """The store with each right side folded back by ``Schema.normalize``,
-    each distinct side once."""
-    folded: dict[Term, Term] = {}
-    out = set()
-    for lhs, rhs in store:
-        t = folded.get(rhs)
-        if t is None:
-            t = folded[rhs] = schema.normalize(rhs)
-        out.add(Equation(lhs, t))
-    return frozenset(out)
+    """The store with each right side folded back by ``Schema.normalize``."""
+    return frozenset([Equation(lhs, schema.normalize(rhs)) for lhs, rhs in store])
 
 
 def simplified_store(
@@ -313,11 +305,11 @@ def check_for_map(
 
 
 def var_disjoint(rec_i: InstanceRecord, rec_j: InstanceRecord) -> bool:
-    """The two instances share no store variables and no future-relevant
-    variables.  (Sharing either would let a variable of the earlier
-    instance still constrain the later one, invalidating the loop
-    argument.)"""
-    return rec_i.vars.isdisjoint(rec_j.vars) and rec_i.fr.isdisjoint(rec_j.fr)
+    """The two instances share no store variables.  (Sharing one would let
+    a variable of the earlier instance still constrain the later one,
+    invalidating the loop argument.)  Their future-relevant variables are
+    store variables, so they are disjoint too."""
+    return rec_i.vars.isdisjoint(rec_j.vars)
 
 
 def stab_index(problem: SchematicProblem, psi0: Substitution) -> int:

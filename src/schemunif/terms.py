@@ -60,9 +60,14 @@ class _Node:
 
     ``size`` is the tree size in nodes (a shared subterm counts once per
     occurrence), ``depth`` the height with leaves at 1, ``vars`` the
-    frozenset of variables and ``key`` the canonical sort key (see
-    ``term_key``).  Equality and hashing are by identity, which interning
-    makes structural.
+    frozenset of variables and ``key`` the canonical sort key.  Equality
+    and hashing are by identity, which interning makes structural.
+
+    ``key`` is a deterministic structural serialization: all equation-set
+    iteration in the solver sorts by it, so traces are byte-stable from run
+    to run.  A variable's key is (0, symbol, index), an application's (1,
+    head, arity, argument keys).  Shared subterms share their keys, and
+    comparing two keys skips, by identity, what they share.
     """
 
     __slots__ = ("size", "depth", "vars", "key", "__weakref__")
@@ -205,22 +210,3 @@ def shift(d: int, t: Term) -> Term:
     if isinstance(t, Var):
         return Var(Variable(t.var.symbol, t.var.index + d))
     return App(t.head, tuple([shift(d, a) for a in t.args]))
-
-
-def depth(t: Term) -> int:
-    return t.depth
-
-
-def variables(t: Term) -> frozenset[Variable]:
-    return t.vars
-
-
-def term_key(t: Term) -> tuple:
-    """Canonical sort key: a deterministic structural serialization.
-
-    All equation-set iteration in the solver sorts by this key so traces are
-    byte-stable from run to run.  A variable's key is (0, symbol, index), an
-    application's (1, head, arity, argument keys).  Shared subterms share
-    their keys, and comparing two keys skips, by identity, what they share.
-    """
-    return t.key

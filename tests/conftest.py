@@ -12,7 +12,7 @@ from schemunif.cli import parse_problem
 from schemunif.engine import EngineClass, FinalConfiguration
 from schemunif.schema import Schema
 from schemunif.solver import SchematicProblem, compute_eq_sub
-from schemunif.terms import App, Var, Variable, app, var, variables
+from schemunif.terms import App, Var, Variable, app, var
 from schemunif.unify import (
     Equation,
     Substitution,
@@ -23,6 +23,18 @@ from schemunif.unify import (
 )
 
 sys.setrecursionlimit(100_000)
+
+# Every property test draws the same examples on every run, with no example
+# database to replay a failure on one machine only.  Solver examples can
+# take seconds on a slow host, so there is no deadline.
+settings.register_profile(
+    "fixed",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("fixed")
 
 HERE = os.path.dirname(__file__)
 PROBLEM_DIR = os.path.join(HERE, "..", "problems")
@@ -301,7 +313,10 @@ def _multi_rule_problems(rules):
 
 def derandomized_examples(strategy, n):
     """The first n examples that hypothesis generates from strategy with a
-    fixed seed: the same list on every run of one hypothesis version."""
+    fixed seed: the same list on every run of one hypothesis version.  The
+    seed digests collect's source, decorator included, so the census
+    digests hold only while its settings block, which repeats some of the
+    profile, is left as it is."""
     out = []
 
     @settings(
@@ -355,7 +370,7 @@ def reference_unify(eqs):
         if isinstance(t, Var) and not isinstance(s, Var):
             s, t = t, s
         t = deep_apply(t)
-        if s.var in variables(t):
+        if s.var in t.vars:
             return UnifyFailure("cycle", Equation(s, t))
         sub[s.var] = t
         one = Substitution({s.var: t})
@@ -439,7 +454,7 @@ def reference_reachable_by_unfolding(y, z, schema):
         seen.add(w)
         base = schema.base(w.symbol)
         own = schema.recursion_offsets(w.symbol)
-        for v in variables(base):
+        for v in base.vars:
             if v.symbol == y.symbol:
                 delta = y.index - w.index - v.index
                 if delta >= 0 and _semigroup_reachable(delta, own):
@@ -461,11 +476,11 @@ def reference_store_eligible(eq, store, schema):
     for stored in store:
         x = stored.lhs
         assert isinstance(x, Var)
-        if y in variables(stored.rhs) or r == x or y == x.var:
+        if y in stored.rhs.vars or r == x or y == x.var:
             return True
     store_vars = set()
     for stored in store:
-        store_vars |= variables(stored.lhs) | variables(stored.rhs)
+        store_vars |= stored.lhs.vars | stored.rhs.vars
     return any(
         schema.contains(z) and reference_reachable_by_unfolding(y, z, schema)
         for z in sorted(store_vars)

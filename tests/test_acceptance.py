@@ -26,7 +26,7 @@ from schemunif.solver import (
     normalized_store,
     u_sch_unif,
 )
-from schemunif.terms import Var, depth, shift, var
+from schemunif.terms import Var, shift, var
 from schemunif.unify import Substitution, unify
 
 from .conftest import (
@@ -308,10 +308,10 @@ def test_normalized_store_depth_and_shape_bounds_on_corpus():
         reference = []
         for e in problem.instance(1):
             reference.extend([e.lhs, e.rhs])
-        cap = max(depth(t) for t in reference)
+        cap = max(t.depth for t in reference)
         for rec in u_sch_unif(problem).records:
             for e in normalized_store(rec.store, schema):
-                assert depth(e.rhs) <= cap, (path, rec.i)
+                assert e.rhs.depth <= cap, (path, rec.i)
                 assert _shift_of_subterm(e.rhs, reference), (path, rec.i)
 
 

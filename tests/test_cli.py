@@ -257,6 +257,22 @@ def test_main_file_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def test_main_reads_past_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark before a corpus problem changes neither the
+    output nor the exit code; a file that is not UTF-8 after the mark is
+    still an input error."""
+    for path in corpus_paths():
+        with open(path, "rb") as fh:
+            data = fh.read()
+        marked = tmp_path / "marked.prob"
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        want = (main([path, "--trace"]), capsys.readouterr())
+        assert (main([str(marked), "--trace"]), capsys.readouterr()) == want, path
+    marked.write_bytes(b"\xef\xbb\xbfproblem: L[0] = \xff;")
+    assert main([str(marked)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {marked}: ")
+
+
 def test_main_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("schema: problem:")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif.schema import Schema, SchemaClass, SchemaError, make_primitive
-from schemunif.terms import app, shift, var, variables
+from schemunif.terms import app, shift, var
 from schemunif.unify import Substitution
 
 from .conftest import (
@@ -189,7 +189,7 @@ def unfolded_terms(draw):
     return schema, draw(st.recursive(leaves, extend, max_leaves=6))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(unfolded_terms())
 def test_normalize_matches_reference(case):
     schema, t = case
@@ -296,10 +296,10 @@ def test_fresh_names_avoid_existing_symbols():
     _, prim, renaming = make_primitive(lsr_problem_eqs(), Schema.of(LSR_RULES))
     original_syms = set()
     for t in Schema.of(LSR_RULES).base_set():
-        original_syms |= {v.symbol for v in variables(t)}
+        original_syms |= {v.symbol for v in t.vars}
     introduced = set()
     for t in prim.base_set():
-        introduced |= {v.symbol for v in variables(t)}
+        introduced |= {v.symbol for v in t.vars}
     fresh = introduced - original_syms
     assert fresh  # flattening had to invent names
     assert all("@" in name for name in fresh)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif import solver
@@ -26,7 +26,7 @@ from schemunif.solver import (
     u_sch_unif,
     var_disjoint,
 )
-from schemunif.terms import Var, depth, shift, var
+from schemunif.terms import Var, shift, var
 from schemunif.unify import Substitution, eq_vars, unify
 
 from .conftest import (
@@ -444,12 +444,12 @@ def test_normalized_stores_stay_within_first_unfolding(corpus):
         reference = []
         for e in problem.instance(1):
             reference.extend([e.lhs, e.rhs])
-        depth_cap = max(depth(t) for t in reference)
+        depth_cap = max(t.depth for t in reference)
         run = u_sch_unif(problem)
         for rec in run.records:
             ns = normalized_store(rec.store, schema)
             for e in ns:
-                assert depth(e.rhs) <= depth_cap, (path, rec.i, str(e))
+                assert e.rhs.depth <= depth_cap, (path, rec.i, str(e))
                 assert _shift_of_subterm(e.lhs, reference), (path, rec.i, str(e))
                 assert _shift_of_subterm(e.rhs, reference), (path, rec.i, str(e))
 
@@ -501,13 +501,7 @@ def test_offset2_parity_is_unifiable():
     assert report.ok and report.checked_up_to == n
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=300)
 @given(uniform_problems(max_offset=3))
 def test_solver_agrees_with_oracle_on_uniform_problems(problem):
     """A cycle survives the oracle to i + 2(i - j); a clash or occurs cycle
@@ -520,13 +514,7 @@ def test_solver_agrees_with_oracle_on_uniform_problems(problem):
     assert_agrees_with_oracle(problem)
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=300)
 @given(multi_rule_problems())
 def test_solver_agrees_with_oracle_on_multi_rule_problems(problem):
     """As on one rule, with two or three rules that may reach each other
@@ -534,13 +522,7 @@ def test_solver_agrees_with_oracle_on_multi_rule_problems(problem):
     assert_agrees_with_oracle(problem)
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=300)
 @given(
     st.one_of(
         uniform_problems(),
@@ -559,13 +541,7 @@ def test_records_match_the_closure_pair_reference(problem):
     assert_matches_closure_pair_reference(problem, 12)
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=200)
 @given(
     st.one_of(uniform_problems(), multi_rule_problems(), carried_group_problems())
 )
@@ -606,6 +582,8 @@ def assert_matches_closure_pair_reference(problem, cap):
         assert th_unif(ref.eqs, schema).active == ref.active, rec.i
         assert rec.irr == ref.irr, rec.i
         assert rec.vars == ref.vars, rec.i
+        # var_disjoint tests store variables only: fr must lie among them.
+        assert rec.fr <= rec.vars, rec.i
         assert rec.simplified == ref.simplified, rec.i
         irrv = {v for v in eq_vars(ref.irr) if not schema.contains(v)} - ref.vars
         assert rec.metric_live == ref.live - len(irrv), rec.i
@@ -680,13 +658,7 @@ def test_cycle_is_first_loop_pair_across_corpus(corpus):
         assert_first_loop_pair(u_sch_unif(parsed.problem))
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=300)
 @given(uniform_problems(max_offset=3))
 def test_cycle_is_first_loop_pair_on_uniform_problems(problem):
     assert_first_loop_pair(u_sch_unif(problem, cap=30))

@@ -9,18 +9,7 @@ from hypothesis import strategies as st
 
 from schemunif import terms as terms_module
 from schemunif.cli import parse_problem
-from schemunif.terms import (
-    App,
-    Var,
-    Variable,
-    app,
-    const,
-    depth,
-    shift,
-    term_key,
-    var,
-    variables,
-)
+from schemunif.terms import App, Var, Variable, app, const, shift, var
 
 from .conftest import GOLDEN_BASE, PROBLEM_DIR, X, Z, f, positions, subterms, terms
 
@@ -105,32 +94,32 @@ def test_shift_composes_additively(t, d1, d2):
 @given(terms(), st.integers(min_value=1, max_value=6))
 def test_shift_preserves_structure(t, d):
     s = shift(d, t)
-    assert depth(s) == depth(t)
+    assert s.depth == t.depth
     assert positions(s) == positions(t)
-    assert {v.symbol for v in variables(s)} == {v.symbol for v in variables(t)}
+    assert {v.symbol for v in s.vars} == {v.symbol for v in t.vars}
 
 
 def test_depth_of_golden_base():
     # f(f(X1, f(Z0, f(X1, f(X0, f(Z1, X0))))), L1) nests five f's under the
     # left argument of the root.
-    assert depth(GOLDEN_BASE) == 7
+    assert GOLDEN_BASE.depth == 7
 
 
 def test_depth_leaves():
-    assert depth(X(0)) == 1
-    assert depth(const("a")) == 1
+    assert X(0).depth == 1
+    assert const("a").depth == 1
 
 
 @given(terms())
 def test_variables_matches_subterm_scan(t):
     expect = {s.var for s in subterms(t) if isinstance(s, Var)}
-    assert variables(t) == expect
+    assert t.vars == expect
 
 
 @given(terms(), terms())
 def test_term_key_total_order(s, t):
     # Keys are canonical: equal keys only for equal terms.
-    assert (term_key(s) == term_key(t)) == (s == t)
+    assert (s.key == t.key) == (s == t)
 
 
 # -- interning ----------------------------------------------------------------
@@ -175,9 +164,9 @@ def test_equal_structure_is_the_same_object(t):
 @given(terms())
 def test_cached_fields_match_recursive_definitions(t):
     assert t.size == _size(t)
-    assert depth(t) == t.depth == _depth(t)
-    assert variables(t) == t.vars == _vars(t)
-    assert term_key(t) == t.key == _key(t)
+    assert t.depth == _depth(t)
+    assert t.vars == _vars(t)
+    assert t.key == _key(t)
     assert hash(t) == hash(_rebuild(t))
 
 
