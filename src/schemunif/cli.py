@@ -27,8 +27,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, NoReturn, Optional
 
 from .oracle import DEFAULT_N, DEFAULT_NODE_CAP, OracleReport, bounded_check
 from .schema import Schema, SchemaClass, SchematicProblem
@@ -59,10 +59,9 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass
-class ParsedProblem:
+class ParsedProblem(NamedTuple):
     problem: SchematicProblem
-    directives: dict[str, str] = field(default_factory=dict)
+    directives: Mapping[str, str] = MappingProxyType({})
 
 
 _TOKEN_RE = re.compile(

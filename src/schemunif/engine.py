@@ -78,8 +78,8 @@ reads them off the classes.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional
+from operator import itemgetter
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .schema import Schema
 from .terms import App, Term, Var, Variable
@@ -152,15 +152,25 @@ class EngineClass:
         return out
 
 
-@dataclass(frozen=True)
-class FinalConfiguration:
+class FinalConfiguration(NamedTuple):
     store: frozenset[Equation]
     # The classes of the saturated set, in a fixed order; the active set is
-    # read off them.  Equality leaves them, and so the active set, out.
-    classes: tuple[EngineClass, ...] = field(compare=False)
+    # read off them.  Equality and hash leave them (and the active set) out.
+    classes: tuple[EngineClass, ...]
     verdict: str  # "ok" | "clash" | "cycle"
     offending: Optional[Equation] = None
     vars: frozenset[Variable] = frozenset()  # the store's variables
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FinalConfiguration:
+            return NotImplemented
+        return _compared(self) == _compared(other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(_compared(self))
 
     @property
     def ok(self) -> bool:
@@ -171,6 +181,9 @@ class FinalConfiguration:
         """The saturated set less the store, built on each read from the
         classes' cached closures."""
         return frozenset(_active(self.classes))
+
+
+_compared = itemgetter(0, 2, 3, 4)  # every field but classes
 
 
 def _active(classes: Iterable[EngineClass]) -> list[Equation]:

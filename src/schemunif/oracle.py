@@ -11,8 +11,7 @@ sizes count tree nodes, as if every shared subterm were written out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .schema import SchematicProblem
 from .unify import UnifyFailure, eq_vars, unify
@@ -21,18 +20,16 @@ DEFAULT_N = 25
 DEFAULT_NODE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class InstanceSize:
+class InstanceSize(NamedTuple):
     nodes: int
     max_depth: int
     var_count: int
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     checked_up_to: int  # largest instance index actually unified
     first_failure: Optional[tuple[int, str]]  # (instance, "clash" | "cycle")
-    per_instance_sizes: list[InstanceSize] = field(default_factory=list)
+    per_instance_sizes: Sequence[InstanceSize] = ()
     size_capped_at: Optional[int] = None  # instance skipped for size, if any
 
     @property
@@ -45,7 +42,8 @@ def bounded_check(
     n: int = DEFAULT_N,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> OracleReport:
-    report = OracleReport(checked_up_to=-1, first_failure=None)
+    checked_up_to, first_failure, capped_at = -1, None, None
+    sizes: list[InstanceSize] = []
     schema = problem.schema
     eqs = problem.equations
     for i in range(n + 1):
@@ -55,9 +53,9 @@ def bounded_check(
         # Tree sizes, although the instance is built as a DAG.
         nodes = sum(e.lhs.size + e.rhs.size for e in eqs)
         if nodes > node_cap:
-            report.size_capped_at = i
+            capped_at = i
             break
-        report.per_instance_sizes.append(
+        sizes.append(
             InstanceSize(
                 nodes=nodes,
                 max_depth=max(
@@ -67,15 +65,14 @@ def bounded_check(
             )
         )
         result = unify(eqs)
-        report.checked_up_to = i
+        checked_up_to = i
         if isinstance(result, UnifyFailure):
-            if report.first_failure is None:
-                report.first_failure = (i, result.kind)
-        else:
+            if first_failure is None:
+                first_failure = (i, result.kind)
+        elif first_failure is not None:
             # Once an instance fails, all later ones must fail too; a later
             # success would mean one of the two unifiers is wrong.
-            assert report.first_failure is None, (
-                f"instance {i} unifiable after failure at "
-                f"{report.first_failure}"
+            raise AssertionError(
+                f"instance {i} unifiable after failure at {first_failure}"
             )
-    return report
+    return OracleReport(checked_up_to, first_failure, sizes, capped_at)

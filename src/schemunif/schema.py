@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .terms import App, Term, Var, Variable, shift, var
 from .unify import Equation, Substitution, eq_vars
@@ -44,24 +43,41 @@ class SchemaError(Exception):
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class Schema:
     """Finite map from domain symbol to its shift-0 base term.
 
-    Only ``rules`` is compared and hashed; the other fields are derived
-    from it when the schema is made and never change after.
+    Only ``rules`` is compared and hashed; ``domain`` and the base table
+    are derived from it when the schema is made.  A schema is immutable:
+    assigning or deleting an attribute raises ``AttributeError``.
     """
 
-    rules: tuple[tuple[str, Term], ...]
-    domain: frozenset[str] = field(init=False, repr=False, compare=False)
-    _bases: dict[str, Term] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "domain", "_bases")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rules: tuple[tuple[str, Term], ...]):
         bases: dict[str, Term] = {}
-        for s, t in self.rules:
+        for s, t in rules:
             bases.setdefault(s, t)
+        _set(self, "rules", rules)
         _set(self, "_bases", bases)
         _set(self, "domain", frozenset(bases))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Schema and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __reduce__(self):
+        return (Schema, (self.rules,))
+
+    def __repr__(self) -> str:
+        return f"Schema(rules={self.rules!r})"
 
     @staticmethod
     def of(rules: dict[str, Term] | Iterable[tuple[str, Term]]) -> "Schema":
@@ -180,8 +196,7 @@ class Schema:
         return "; ".join(f"{s}[i] -> {t}" for s, t in self.rules)
 
 
-@dataclass(frozen=True)
-class SchematicProblem:
+class SchematicProblem(NamedTuple):
     """Equations over schema and plain variables; instance i unfolds their
     schema variables i times."""
 
@@ -195,9 +210,9 @@ class SchematicProblem:
 # -- uniform -> primitive rewrite -------------------------------------------
 
 
-@dataclass
 class _FreshNames:
-    taken: set[str] = field(default_factory=set)
+    def __init__(self) -> None:
+        self.taken: set[str] = set()
 
     def fresh(self, parameter: str, residue: int) -> str:
         name = f"{parameter}@{residue}"

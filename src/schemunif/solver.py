@@ -30,10 +30,9 @@ simplified store are read per class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .engine import EngineClass, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
@@ -50,8 +49,7 @@ from .unify import (
 )
 
 
-@dataclass
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     """Snapshot of one solver iteration, sufficient for the later j-scan
     and for trace emission."""
 
@@ -75,15 +73,13 @@ class InstanceRecord:
         return frozenset().union(*[g.closure() for g in self.groups])
 
 
-@dataclass(frozen=True)
-class CycleFound:
+class CycleFound(NamedTuple):
     i: int
     j: int
     mapping: dict[Variable, Variable]
 
 
-@dataclass(frozen=True)
-class NotUnifiable:
+class NotUnifiable(NamedTuple):
     instance: int
     cause: str  # "clash" | "cycle" | "irr-cycle"
     equation: Optional[Equation] = None
@@ -92,22 +88,19 @@ class NotUnifiable:
     lookahead: int = 0
 
 
-@dataclass(frozen=True)
-class StabilityViolation:
+class StabilityViolation(NamedTuple):
     instance: int
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     cap: int
 
 
 Outcome = Union[CycleFound, NotUnifiable, StabilityViolation, Exhausted]
 
 
-@dataclass
-class SolverRun:
+class SolverRun(NamedTuple):
     outcome: Outcome
     records: list[InstanceRecord]
     stab: Optional[int] = None  # unset when instance 0 already fails
@@ -398,8 +391,8 @@ def u_sch_unif(
             denominator = max(r.metric for r in records[: stab + 1])
             # A degenerate problem (no live schema recursion) can have an
             # all-zero metric history; any non-growing metric counts as stable.
-            rec.ratio = (
-                Fraction(rec.metric, denominator)
+            records[-1] = rec = rec._replace(
+                ratio=Fraction(rec.metric, denominator)
                 if denominator > 0
                 else Fraction(1 if rec.metric <= 0 else 2)
             )

@@ -12,8 +12,9 @@ object, equality is identity, and hashing is by identity too (both run in
 C).  A term that occurs many times is stored once (a term is a DAG, however
 large its tree).  Each node caches its tree size, depth, variable set and
 sort key when it is built, from its children's cached values, so reading
-any of them never walks the term.  Terms are immutable; copying or
-unpickling one yields the interned object.
+any of them never walks the term.  Terms are immutable: assigning or
+deleting an attribute raises ``AttributeError``.  Copying or unpickling a
+term yields the interned object.
 
 The intern tables are plain dicts from a structure to a weak reference to
 its term.  A lookup finds no term when there is no entry or its term has
@@ -25,7 +26,6 @@ garbage-collected cycle can call back after a new term has taken its key.
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError
 from typing import Callable, NamedTuple, Union
 
 
@@ -73,10 +73,10 @@ class _Node:
     __slots__ = ("size", "depth", "vars", "key", "__weakref__")
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __copy__(self) -> "_Node":
         return self

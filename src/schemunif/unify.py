@@ -19,7 +19,6 @@ hash and equality are tuple operations on identities, all in C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .terms import App, Term, Var, Variable
@@ -129,8 +128,7 @@ class Substitution:
         return Substitution(m)
 
 
-@dataclass(frozen=True)
-class UnifyFailure:
+class UnifyFailure(NamedTuple):
     kind: str  # "clash" | "cycle"
     equation: Equation
 

@@ -59,6 +59,15 @@ def same_configuration(a, b):
     )
 
 
+def test_configurations_that_differ_only_in_classes_are_equal():
+    fc = th_unif([eq(L(0), h(Y(0), Y(1))), eq(Y(1), Y(2))], ex_schema())
+    assert fc.classes
+    other = fc._replace(classes=())
+    assert other == fc and not other != fc and hash(other) == hash(fc)
+    assert fc._replace(verdict="cycle") != fc
+    assert fc._replace(vars=frozenset()) != fc
+
+
 def test_first_instance_store():
     schema = ex_schema()
     u1 = schema.instance_eqs([eq(L(0), h(Y(0), h(Y(1), Y(0))))], 1)

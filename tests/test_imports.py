@@ -6,15 +6,18 @@ name or as the root of an attribute chain.  An import line marked
 ``# noqa: F401`` is exempt (a name kept for a caller outside the module).
 A private name (``def _f``, ``class _C``, ``_X = ...`` at module level)
 counts as read when some module of the package loads it as a plain name or
-an attribute, outside its own definition.
+an attribute, outside its own definition.  Importing the command line or
+the solver loads neither ``dataclasses`` nor ``inspect``, for start-up time.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
-from .conftest import HERE
+from .conftest import HERE, SRC_PATH
 
 PACKAGE = os.path.join(HERE, "..", "src", "schemunif")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
@@ -99,3 +102,22 @@ def test_no_unread_private_names():
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
     assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize("module", ["schemunif.cli", "schemunif.solver"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """Start-up time: the package's records are named tuples, so importing
+    the command line, or the library path of the solver, loads neither
+    ``dataclasses`` nor what it pulls in (``inspect``, ``ast``, ...)."""
+    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert module in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

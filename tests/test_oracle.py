@@ -124,3 +124,37 @@ def test_oracle_loads_neither_solver_nor_engine():
     assert "schemunif.oracle" in loaded
     assert "schemunif.solver" not in loaded
     assert "schemunif.engine" not in loaded
+
+
+def test_late_success_raises_even_under_optimization():
+    """A later instance that unifies after a failure means a unifier is
+    wrong; the oracle's self-check must survive ``python -O``."""
+    code = """if True:
+        from schemunif import oracle
+        from schemunif.schema import Schema, SchematicProblem
+        from schemunif.terms import app, var
+        from schemunif.unify import Equation, Substitution, UnifyFailure
+        L0, Y0 = var("L", 0), var("Y", 0)
+        calls = []
+        def unify(eqs):  # fails at instance 1 only
+            calls.append(eqs)
+            if len(calls) == 2:
+                return UnifyFailure("clash", Equation(L0, Y0))
+            return Substitution()
+        oracle.unify = unify
+        schema = Schema.of({"L": app("f", var("X", 0), var("L", 1))})
+        problem = SchematicProblem(frozenset([Equation(L0, Y0)]), schema)
+        try:
+            oracle.bounded_check(problem, n=3)
+        except AssertionError as exc:
+            print(exc)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "instance 2 unifiable after failure at (1, 'clash')\n"

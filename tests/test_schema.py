@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -34,6 +36,18 @@ def E(i):
 def test_duplicate_rule_rejected():
     with pytest.raises(SchemaError):
         Schema.of([("L", X(0)), ("L", Y(0))])
+
+
+def test_schemas_are_equal_by_their_rules():
+    rules = [("L", f(X(0), L(1))), ("M", h(Y(0), M(2)))]
+    schema = Schema.of(rules)
+    same = Schema.of(rules[::-1])
+    assert schema == same and hash(schema) == hash(same)
+    assert schema != Schema.of(rules[:1]) and schema != rules
+    assert repr(schema) == f"Schema(rules={tuple(rules)!r})"
+    for copied in (copy.copy(schema), copy.deepcopy(schema)):
+        assert copied == schema and copied.domain == {"L", "M"}
+    assert pickle.loads(pickle.dumps(schema)) == schema
 
 
 def test_binding_is_shifted_base():

@@ -14,6 +14,7 @@ from schemunif.solver import (
     Exhausted,
     NotUnifiable,
     SchematicProblem,
+    StabilityViolation,
     check_for_map,
     compute_eq_sub,
     cycle_check,
@@ -393,6 +394,29 @@ def test_ratios_only_past_stab(golden_run):
         else:
             assert isinstance(rec.ratio, Fraction)
             assert rec.ratio <= 1
+
+
+def test_immutable_results_reject_assignment():
+    schema = Schema.of({"L": f(X(0), L(1))})
+    problem = SchematicProblem(frozenset([eq(L(0), Y(0))]), schema)
+    values = [
+        unify([eq(f(X(0), X(0)), h(Y(0), Y(0)))]),
+        schema,
+        problem,
+        th_unif(problem.equations, schema),
+        bounded_check(problem, n=1).per_instance_sizes[0],
+        CycleFound(1, 0, {}),
+        NotUnifiable(0, "clash"),
+        StabilityViolation(3, Fraction(2)),
+        Exhausted(40),
+    ]
+    for value in values:
+        field = "rules" if value is schema else value._fields[0]
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
 
 
 # -- corpus-wide structural properties --------------------------------------
