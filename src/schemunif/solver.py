@@ -1,13 +1,14 @@
 """Decision procedure for uniform schematic unification problems.
 
-Drives the engine instance by instance: the store of instance i, with every
-schema variable unfolded one step, is the input for instance i+1.  Along the
-way it accumulates the irrelevant bindings (checking them for hidden occurs
-cycles), collapses variable-equality orbits, tracks which variables stay
-relevant, and watches a stability metric.  Once past the stabilization
-index, it scans earlier instances for a variable renaming that equates the
-simplified stores — such a renaming proves the instance sequence loops, so
-every instance is unifiable.
+``instances`` drives the engine instance by instance: the store of instance
+i, with every schema variable unfolded one step, is the input for instance
+i+1.  Along the way it accumulates the irrelevant bindings (checking them for
+hidden occurs cycles), collapses variable-equality orbits, tracks which
+variables stay relevant, and yields each instance's record with its
+stability metric.  ``u_sch_unif`` decides over the records: it watches the
+metric, and once past the stabilization index, it scans earlier instances
+for a variable renaming that equates the simplified stores — such a renaming
+proves the instance sequence loops, so every instance is unifiable.
 
 The irrelevant set is kept as groups, one per engine class left out of the
 store.  A group is an ``EngineClass`` too (a multiequation, after Martelli
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .engine import EngineClass, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
@@ -307,7 +308,8 @@ def var_disjoint(rec_i: InstanceRecord, rec_j: InstanceRecord) -> bool:
 
 def stab_index(problem: SchematicProblem, psi0: Substitution) -> int:
     """Max of the largest variable index and the largest term depth over the
-    once-unfolded instance 0."""
+    problem's equations with psi0 applied; ``u_sch_unif`` passes the step of
+    instance 0's store, not the unfolding of every schema variable."""
     eqs = psi0.apply_eqs(problem.equations)
     indices = [v.index for v in eq_vars(eqs)]
     depths = [max(e.lhs.depth, e.rhs.depth) for e in eqs]
@@ -316,6 +318,62 @@ def stab_index(problem: SchematicProblem, psi0: Substitution) -> int:
 
 def _default_cap(problem: SchematicProblem, stab: int) -> int:
     return 10 * (stab + len(problem.schema.domain) + len(problem.equations))
+
+
+def instances(
+    problem: SchematicProblem,
+) -> Iterator[Union[InstanceRecord, NotUnifiable]]:
+    """The instance sequence of a uniform problem, lazily: the record of
+    each instance that unifies, in order, then the ``NotUnifiable`` of the
+    first that fails.  It does not end for a unifiable problem."""
+    schema = problem.schema
+    # Variable set of the directly instantiated problem, maintained
+    # incrementally (the terms themselves grow too fast to materialize).
+    # A set, not a count: unfolding can re-emit a plain variable it holds
+    # (L[i] -> f(X[i], L[i+1]) with L[0] = f(X[1], L[1]) re-emits X[1]).
+    inst_vars = eq_vars(problem.equations)
+    # Engine input, irrelevant groups and step carried into instance i.
+    eqs, groups, psi = problem.equations, (), Substitution()
+    for i in itertools.count():
+        fc = th_unif(eqs, schema)
+        if not fc.ok:
+            yield NotUnifiable(i, fc.verdict, fc.offending)
+            return
+        groups, spanning, irr_vars, depth = irrelevant_set(
+            groups, psi, fc.classes, schema
+        )
+        if i > 0:
+            failure = cycle_check(spanning, schema, depth)
+            if failure is not None:
+                yield NotUnifiable(i, "irr-cycle", failure.equation, depth)
+                return
+        store_vars = fc.vars
+        psi = step_substitution(store_vars, schema)
+        eq_sub = compute_eq_sub(fc.classes)
+        irrv = irr_vars - store_vars
+        normalized = normalized_store(
+            [e for c in fc.classes if c.stored for e in c.spanning()], schema
+        )
+        # eq_sub maps each orbit onto a member, and every orbit member
+        # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
+        live = len(eq_vars(normalized) - eq_sub.domain())
+        yield InstanceRecord(
+            i=i,
+            store=fc.store,
+            vars=store_vars,
+            groups=groups,
+            step_sub=psi,
+            eq_sub=eq_sub,
+            fr=future_relevant(store_vars, psi, schema),
+            simplified=simplified_store(normalized, eq_sub),
+            metric=len(inst_vars) - len(eq_sub.domain()) - len(irrv),
+            metric_live=live - len(irrv),
+        )
+        eqs = psi.apply_eqs(fc.store)
+        unfold = schema.step(inst_vars)
+        inst_vars = (inst_vars - unfold.domain()).union(
+            *(t.vars for t in unfold.mapping.values())
+        )
 
 
 def u_sch_unif(
@@ -332,58 +390,16 @@ def u_sch_unif(
         raise ValueError(
             f"schema must be uniform; classification is {cls.value}"
         )
-    schema = problem.schema
 
     records: list[InstanceRecord] = []
     stab: Optional[int] = None  # set once instance 0 unifies
-    # Variable set of the directly instantiated problem, maintained
-    # incrementally (the terms themselves grow too fast to materialize).
-    inst_vars = eq_vars(problem.equations)
-    # Engine input, irrelevant groups and step carried into instance i.
-    eqs, groups, psi = problem.equations, (), Substitution()
-    for i in itertools.count():
-        fc = th_unif(eqs, schema)
-        if not fc.ok:
-            return SolverRun(
-                NotUnifiable(i, fc.verdict, fc.offending), records, stab
-            )
-        groups, spanning, irr_vars, depth = irrelevant_set(
-            groups, psi, fc.classes, schema
-        )
-        if i > 0:
-            failure = cycle_check(spanning, schema, depth)
-            if failure is not None:
-                return SolverRun(
-                    NotUnifiable(i, "irr-cycle", failure.equation, depth),
-                    records,
-                    stab,
-                )
-        store_vars = fc.vars
-        psi = step_substitution(store_vars, schema)
+    for i, rec in enumerate(instances(problem)):
+        if isinstance(rec, NotUnifiable):
+            return SolverRun(rec, records, stab)
         if stab is None:
-            stab = stab_index(problem, psi)
+            stab = stab_index(problem, rec.step_sub)
             if cap is None:
                 cap = _default_cap(problem, stab)
-        eq_sub = compute_eq_sub(fc.classes)
-        irrv = irr_vars - store_vars
-        normalized = normalized_store(
-            [e for c in fc.classes if c.stored for e in c.spanning()], schema
-        )
-        # eq_sub maps each orbit onto a member, and every orbit member
-        # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
-        live = len(eq_vars(normalized) - eq_sub.domain())
-        rec = InstanceRecord(
-            i=i,
-            store=fc.store,
-            vars=store_vars,
-            groups=groups,
-            step_sub=psi,
-            eq_sub=eq_sub,
-            fr=future_relevant(store_vars, psi, schema),
-            simplified=simplified_store(normalized, eq_sub),
-            metric=len(inst_vars) - len(eq_sub.domain()) - len(irrv),
-            metric_live=live - len(irrv),
-        )
         records.append(rec)
 
         # Instance 0 has no earlier instance to rename onto.
@@ -407,8 +423,3 @@ def u_sch_unif(
                         return SolverRun(CycleFound(i, j, mu), records, stab)
         if i >= cap:
             return SolverRun(Exhausted(cap), records, stab)
-        eqs = psi.apply_eqs(fc.store)
-        unfold = schema.step(inst_vars)
-        inst_vars = (inst_vars - unfold.domain()).union(
-            *(t.vars for t in unfold.mapping.values())
-        )

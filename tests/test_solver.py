@@ -1,3 +1,5 @@
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from schemunif.solver import (
     compute_eq_sub,
     cycle_check,
     future_relevant,
+    instances,
     irrelevant_set,
     normalized_store,
     simplified_store,
@@ -38,6 +41,7 @@ from .conftest import (
     Z,
     assert_spanning_stands_for_closure,
     carried_group_problems,
+    derandomized_examples,
     eq,
     f,
     h,
@@ -48,6 +52,7 @@ from .conftest import (
     tied_rings,
     uniform_problems,
 )
+from .test_corpus_outputs import ROOT, corpus_inputs
 
 
 def ex_schema():
@@ -716,3 +721,91 @@ def test_blow_up_1_walks_each_store_once(monkeypatch):
     for rec in run.records:
         assert not any(eqs is rec.store for eqs in walked), rec.i
         assert rec.vars == eq_vars(rec.store), rec.i
+
+
+# -- the instance sequence ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sequence_problems():
+    """Every shipped problem and benchmark input, with the cap the command
+    line uses, and the first 300 examples of uniform_problems and of
+    multi_rule_problems at cap 15."""
+    out = []
+    for relpath in corpus_inputs():
+        with open(os.path.join(ROOT, relpath), encoding="utf-8") as fh:
+            out.append((parse_problem(fh.read()).problem, None))
+    for strategy in (uniform_problems(), multi_rule_problems()):
+        out += [(p, 15) for p in derandomized_examples(strategy, 300)]
+    return out
+
+
+# Unfolding L[1] at instance 0 re-emits X[1], which the instance already
+# has, and each later instance re-emits the X[i] it has: a running count of
+# the instance's variables would grow by one too many an instance.
+REEMITTING = "schema: L[i] -> f(X[i], L[i+1]); problem: L[0] = f(X[1], L[1]);"
+
+
+def test_metric_follows_its_definition(sequence_problems):
+    """Each record's metric is |vars(U_Theta(i))| - |dom(eq_sub)| - |irrV|,
+    with the instance built directly and irrV the variables of the
+    irrelevant set outside the schema and the store."""
+    problems = sequence_problems + [(parse_problem(REEMITTING).problem, 6)]
+    for problem, cap in problems:
+        schema = problem.schema
+        for rec in u_sch_unif(problem, cap=cap).records:
+            irrv = {v for v in eq_vars(rec.irr) if not schema.contains(v)}
+            irrv -= rec.vars
+            inst_vars = eq_vars(problem.instance(rec.i))
+            want = len(inst_vars) - len(rec.eq_sub.domain()) - len(irrv)
+            assert rec.metric == want, (problem, rec.i)
+
+
+def comparable(rec):
+    """A record without its ratio, with each group as its fields: classes
+    compare by identity."""
+    groups = tuple(
+        (g.plain, g.sides, g.loops, g.schematic, g.stored) for g in rec.groups
+    )
+    return rec._replace(groups=groups, ratio=None)
+
+
+def test_instances_yields_the_runs_records(sequence_problems):
+    """The sequence's first records are the run's, less their ratios; for a
+    problem that fails, its last item is the run's outcome.  The sequence
+    does not end for a unifiable problem, so it is read through islice."""
+    for problem, cap in sequence_problems:
+        run = u_sch_unif(problem, cap=cap)
+        got = itertools.islice(instances(problem), len(run.records))
+        assert [comparable(r) for r in got] == [comparable(r) for r in run.records]
+        if isinstance(run.outcome, NotUnifiable):
+            assert list(instances(problem))[-1] == run.outcome
+
+
+def test_instances_runs_the_engine_once_a_record(monkeypatch, golden_problem):
+    """Taking k records makes k engine calls: instance k + 1 is not worked
+    out before it is asked for."""
+    calls = []
+
+    def counting_th_unif(eqs, schema):
+        calls.append(eqs)
+        return th_unif(eqs, schema)
+
+    monkeypatch.setattr(solver, "th_unif", counting_th_unif)
+    for k in range(5):
+        calls.clear()
+        assert len(list(itertools.islice(instances(golden_problem), k))) == k
+        assert len(calls) == k
+
+
+def test_stab_index_reads_the_step_of_instance_zeros_store():
+    """On offset2_occurs, instance 0's store is empty, so its step unfolds
+    nothing and the index is read off the problem as given: 3.  Unfolding
+    every schema variable of instance 0 would give 5."""
+    path = os.path.join(ROOT, "bench", "inputs", "offset2_occurs.prob")
+    with open(path, encoding="utf-8") as fh:
+        problem = parse_problem(fh.read()).problem
+    run = u_sch_unif(problem)
+    assert run.stab == stab_index(problem, run.records[0].step_sub) == 3
+    unfold_all = problem.schema.step(eq_vars(problem.equations))
+    assert stab_index(problem, unfold_all) == 5
