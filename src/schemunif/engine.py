@@ -15,8 +15,9 @@ side to the variable's class, and ``Var = Var`` merges.  Of an input pair
 and its flip, only the one first in key order is seeded: the worklist is
 a stack, so when the flip would come, the pair and everything it derived
 are done, and the flip would change no class, add no side and meet no
-new clash.  (The store holds both x = y and y = x, and the next instance
-gets both.)  The saturated set is the closure of the classes: x = y for
+new clash.  (The store holds both x = y and y = x, but the next instance
+gets neither: ``solver.unfolded_store`` builds its input from the stored
+classes.)  The saturated set is the closure of the classes: x = y for
 distinct x, y of one class, x = t for every member x and side t of its
 class, and the input's reflexive equations.  That is the least fixpoint of
 the rules, O(|C|^2) equations for a class C.  Three rules keep it exactly
@@ -50,9 +51,9 @@ equation reaches: the least one closed under the conditions.
 ``th_unif`` grows each class as its union-find node, an ``EngineClass``
 with every member in ``plain`` and the sides in an ordered set, then
 splits the members into schema and plain ones in place and, in one pass,
-flags which classes condition 1 stores.  The store, the next instance's
-input, is the union of the stored classes' closures, each built once and
-cached; its variables are read per class.  The active set, the rest of
+flags which classes condition 1 stores.  The store is the union of the
+stored classes' closures, each built once and cached; its variables are
+read per class.  The active set, the rest of
 the saturated set, is built from the closures on each read of
 ``FinalConfiguration.active``, and when the gate runs.
 

@@ -22,9 +22,19 @@ each other member and to each side: plain unification is transitive, so it
 has the unifiers of the closure, at O(|C|) equations for a class C in place
 of O(|C|^2).  The unfolding depth and the irrelevant variables are read off
 the groups; ``InstanceRecord.irr``, the union of the closures each group
-builds once and caches, is built on each read.  The store's closure pairs
-stay the next engine input, as the engine's saturation is not transitive
-through sides; its variables, its orbits, and the normalized and
+builds once and caches, is built on each read.
+
+The next engine input is not the store's closure pairs with the step
+applied, O(|C|^2) for a stored class C, but ``unfolded_store``'s O(|C|)
+equations, which the engine saturates to the same classes.  The step
+sends a class's members to its core, which the closure equates pairwise,
+and its sides to its leaves, each equated with every core term but not
+with one another.  The core is complete, so a star from a core variable
+is exact.  The leaves are not, and saturation is not transitive through
+sides: a star from a core application meets each leaf with that term
+only, so a variable inside another core term misses the leaf's argument
+as a side.  A core of applications is split by argument position
+instead.  The store's variables, its orbits, and the normalized and
 simplified store are read per class.
 """
 
@@ -39,7 +49,7 @@ from .engine import EngineClass, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import make_primitive  # noqa: F401
-from .terms import Term, Var, Variable
+from .terms import App, Term, Var, Variable
 from .unify import (
     Equation,
     Substitution,
@@ -176,6 +186,73 @@ def cycle_check(
         return None
     result = unify(schema.instance_eqs(eqs, depth))
     return result if isinstance(result, UnifyFailure) else None
+
+
+def unfolded_store(
+    classes: Iterable[EngineClass], psi: Substitution
+) -> list[Equation]:
+    """The next engine input: equations that th_unif saturates as it does
+    the stored classes' closures with psi applied, at O(|C|) equations for
+    a class C in place of O(|C|^2).
+
+    A class unfolds to a group: its members' images, the core, which the
+    closure equates pairwise, and its sides' images, the leaves, each
+    equated with every core term but not with one another.  The engine
+    derives x = x only from its input, so a variable that two members, or
+    a looped member, unfold to gets its x = x.  Then a group becomes:
+
+    - of at most two terms, its pair if any, which the engine decomposes
+      itself;
+    - with a variable v in its core, the star v = u over core and leaves:
+      v's class takes every variable and every other term as a side, and
+      the engine decomposes the sides of a class pairwise;
+    - otherwise, its core all applications: each variable leaf bound to
+      every core term, as in the closure, and, when the applications share
+      a head, for each argument position the group of the core's arguments
+      with the application leaves' arguments as leaves, since an
+      ``App = App`` pair is its argument pairs; when they do not, the
+      first core term bound to every other term, which clashes.
+
+    The module docstring says why a star from a core application would
+    not be exact."""
+    go = psi.applier()
+    out: list[Equation] = []
+    groups: list[tuple[list[Term], list[Term]]] = []
+    for c in classes:
+        if not c.stored:
+            continue
+        core: dict[Term, None] = {}
+        for x in c.schematic + c.plain:
+            t = go(x)
+            if t in core and isinstance(t, Var):
+                out.append(Equation(t, t))
+            core[t] = None
+        if c.loops:
+            out += [Equation(t, t) for t in map(go, c.loops) if isinstance(t, Var)]
+        leaves = [t for t in map(go, c.sides) if t not in core]
+        groups.append((list(core), leaves))
+    while groups:
+        core, leaves = groups.pop()
+        if len(core) + len(leaves) <= 2:
+            out += [Equation(core[0], u) for u in core[1:] + leaves]
+            continue
+        for v in core:
+            if isinstance(v, Var):
+                out += [Equation(v, u) for u in core if u is not v]
+                out += [Equation(v, u) for u in leaves]
+                break
+        else:
+            k = core[0]
+            apps = [t for t in leaves if isinstance(t, App)]
+            out += [Equation(x, j) for x in leaves if isinstance(x, Var) for j in core]
+            if any(t.head != k.head or len(t.args) != len(k.args) for t in core + apps):
+                out += [Equation(k, u) for u in core[1:] + apps]
+                continue
+            for p in range(len(k.args)):
+                args = dict.fromkeys([j.args[p] for j in core])
+                below = dict.fromkeys([t.args[p] for t in apps])
+                groups.append((list(args), [a for a in below if a not in args]))
+    return out
 
 
 def compute_eq_sub(classes: Iterable[EngineClass]) -> Substitution:
@@ -369,7 +446,7 @@ def instances(
             metric=len(inst_vars) - len(eq_sub.domain()) - len(irrv),
             metric_live=live - len(irrv),
         )
-        eqs = psi.apply_eqs(fc.store)
+        eqs = unfolded_store(fc.classes, psi)
         unfold = schema.step(inst_vars)
         inst_vars = (inst_vars - unfold.domain()).union(
             *(t.vars for t in unfold.mapping.values())

@@ -13,8 +13,9 @@ and repeating characters, and prints a second sha256 over each outcome:
 the parsed problem, printed back, or the ParseError's message, line and
 column.  A change that keeps every verdict, store and trace keeps the
 first digest, and one that keeps every parse result and error the
-second; the generated problems, and so the first digest, are fixed for
-one hypothesis version.
+second.  ``derandomized_examples`` draws the generated problems from a
+fixed ``@seed``, so they, and the first digest, depend only on the
+strategies and the hypothesis version.
 
 ``--check`` compares both digests with ``tests/census_digests.json`` and
 exits 1 if either differs, or 2 if that file was written under another

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from schemunif import solver
 from schemunif.cli import parse_problem
-from schemunif.engine import store_eligible, th_unif
+from schemunif.engine import EngineClass, store_eligible, th_unif
 from schemunif.schema import Schema
 from schemunif.solver import (
     NotUnifiable,
@@ -598,6 +598,133 @@ def test_whole_runs_match_reference_engine(monkeypatch):
         want = u_sch_unif(p, cap=cap)
         assert _outcome_key(run.outcome) == _outcome_key(want.outcome)
         assert _record_fields(run) == _record_fields(want)
+
+
+# -- the next instance's input against the closure pairs ---------------------
+
+_NEXT_RULES = ["L", "M", "N"]
+_next_plain = st.builds(var, st.sampled_from(["X", "Z"]), st.integers(0, 2))
+_next_args = (
+    _next_plain
+    | st.builds(lambda t: app("g", t), _next_plain)
+    | st.builds(f, _next_plain, _next_plain)
+)
+_next_schema_vars = st.builds(var, st.sampled_from(_NEXT_RULES), st.integers(0, 2))
+_plain_heads = st.builds(var, st.just("Y"), st.integers(0, 2))
+_next_sides = st.recursive(
+    st.builds(var, st.sampled_from(_NEXT_RULES + ["X", "Y"]), st.integers(0, 2))
+    | st.just(app("a")),
+    lambda ts: st.builds(f, ts, ts) | st.builds(lambda t: app("g", t), ts),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _next_base(draw, kinds=range(5)):
+    """A variable, or an application whose arguments mix variables and
+    applications around one schema variable; some are headed g, so tied
+    members can clash."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == 0:
+        return draw(_next_plain)
+    slot = var(draw(st.sampled_from(_NEXT_RULES)), draw(st.integers(1, 2)))
+    a, b = draw(_next_args), draw(_next_args)
+    return [f(a, slot), f(slot, a), f(f(a, b), slot), app("g", f(slot, b))][kind - 1]
+
+
+@st.composite
+def stored_class_problems(draw):
+    """Three rules, heads tied to heads (stored classes of schema members
+    only), bound to sides over every variable kind, and plain heads tied in
+    too."""
+    schema = Schema.of({s: draw(_next_base()) for s in _NEXT_RULES})
+    ties = st.builds(Equation, _next_schema_vars, _next_schema_vars)
+    heads = _next_schema_vars | _plain_heads
+    eqs = draw(st.lists(ties, min_size=1, max_size=4))
+    eqs += draw(st.lists(st.builds(Equation, heads, _next_sides), max_size=3))
+    return SchematicProblem(frozenset(eqs), schema)
+
+
+_side_args = st.builds(
+    var, st.sampled_from(_NEXT_RULES + ["X", "Y"]), st.integers(0, 2)
+) | st.builds(lambda t: app("g", t), _next_plain)
+
+
+def _class_side(w):
+    """An application over the variable w and one argument of _side_args:
+    distinct sides of a class then hold distinct variables at one place."""
+    return st.builds(
+        lambda k, t: [f(w, t), f(t, w)][k], st.integers(0, 1), _side_args
+    )
+
+
+@st.composite
+def stored_classes(draw):
+    """A schema as above and one or two stored classes built directly: up to
+    four schema members, up to two plain ones, and two or three sides that
+    the engine never decomposed against each other, as no store it builds
+    has them.  No base is headed g, so cores of applications are common,
+    and clashes come from arguments."""
+    schema = Schema.of({s: draw(_next_base(range(4))) for s in _NEXT_RULES})
+    classes = []
+    for _ in range(draw(st.integers(1, 2))):
+        z = draw(st.lists(_next_schema_vars, min_size=1, max_size=4, unique=True))
+        p = draw(st.lists(_plain_heads, max_size=2, unique=True))
+        n = draw(st.integers(2, 3))
+        sides = [draw(_class_side(var("W", k))) for k in range(n)]
+        loops = draw(st.lists(st.sampled_from(z + p), max_size=1))
+        classes.append(
+            EngineClass(tuple(p), tuple(sides), tuple(loops), tuple(z), True)
+        )
+    return classes, schema
+
+
+def assert_unfolds_as_the_closure_pairs(classes, schema):
+    """th_unif on the input unfolded_store builds gives the configuration the
+    reference engine gives on the stored closure pairs with the step
+    applied, or both clash; returns th_unif's."""
+    store = [e for c in classes if c.stored for e in c.closure()]
+    psi = schema.step(eq_vars(store))
+    got = th_unif(solver.unfolded_store(classes, psi), schema)
+    want = reference_th_unif(psi.apply_eqs(store), schema)
+    if want.verdict == "clash":
+        assert got.verdict == "clash"
+    else:
+        assert same_configuration(got, want)
+    return got
+
+
+@settings(max_examples=300)
+@given(stored_class_problems())
+def test_unfolded_store_saturates_as_the_closure_pairs(problem):
+    """Three instances in turn, each from the last one's classes."""
+    fc = th_unif(problem.equations, problem.schema)
+    for _ in range(3):
+        if not fc.ok:
+            return
+        fc = assert_unfolds_as_the_closure_pairs(fc.classes, problem.schema)
+
+
+@settings(max_examples=300)
+@given(stored_classes())
+def test_unfolded_store_of_any_class_saturates_as_its_closure(drawn):
+    """The rules hold for classes no engine run builds, whose sides were
+    never decomposed against each other."""
+    assert_unfolds_as_the_closure_pairs(*drawn)
+
+
+def test_leaves_are_not_decomposed_against_each_other():
+    """Both side images meet the core g(X[0]), g(Z[0]) at their first
+    argument, so Y[0] and Y[1] each take both as sides, but nothing equates
+    Y[0] with Y[1]."""
+    schema = Schema.of(
+        {"L": f(app("g", X(0)), L(1)), "M": f(app("g", Z(0)), var("M", 1))}
+    )
+    sides = (f(Y(0), app("a")), f(Y(1), app("a")))
+    c = EngineClass((), sides, (), (L(0), var("M", 0)), True)
+    fc = assert_unfolds_as_the_closure_pairs([c], schema)
+    assert eq(Y(0), Y(1)) not in fc.active
+    assert {eq(Y(0), app("g", X(0))), eq(Y(1), app("g", Z(0)))} <= fc.active
 
 
 def _outcome_key(out):

@@ -594,12 +594,58 @@ UNFOLDED_RIGHTS = [
 ]
 
 
-def test_corpus_records_match_the_closure_pair_reference(corpus):
+# Generated multi-rule problems (of the census sample before it drew from a
+# fixed seed) whose stores and traces change when the next engine input binds
+# a schema-only class's first member image to every other image and side (a
+# star from an application): a side image then meets only that image, and a
+# variable inside another member's image misses its arguments as a side.
+APPLICATION_STAR_INEXACT = [
+    "schema: L[i] -> f(f(Z[i+2], g(Z[i+3])), M[i]); M[i] -> f(L[i+2], g(X[i]));"
+    " N[i] -> f(L[i+3], g(X[i+3])); problem: L[0] = N[0]; L[0] = f(L[1], X[2]);",
+    "schema: L[i] -> f(f(Z[i+2], g(Z[i+3])), M[i]); M[i] -> f(L[i+2], g(X[i]));"
+    " N[i] -> f(L[i+3], g(X[i+3]));"
+    " problem: L[0] = N[0]; L[0] = f(L[1], X[2]); f(Y[1], a) = f(a, a);",
+    "schema: L[i] -> f(f(Z[i+2], g(Z[i+3])), M[i]); M[i] -> f(L[i+2], g(X[i]));"
+    " N[i] -> f(L[i+3], g(X[i+3]));"
+    " problem: L[0] = N[0]; L[0] = f(L[1], X[2]); N[2] = N[0]; f(Y[1], a) = f(a, a);",
+    "schema: L[i] -> f(f(X[i+3], g(X[i+2])), N[i+1]); M[i] -> f(N[i+2], g(X[i]));"
+    " N[i] -> f(Z[i], N[i+2]); problem: M[1] = N[2]; M[2] = M[1];",
+]
+
+# The inputs ROADMAP direction 5 measures, at small caps, with their outcomes.
+NAMED_INPUTS = [
+    ("schema: L[i] -> f(X[i+1], L[i+2]); problem: L[3] = f(Y[0], L[1]);",
+     12, Exhausted(12)),
+    ("schema: L[i] -> f(X[i+1], L[i+1]);"
+     " problem: Y[1] = g(f(g(L[2]), Y[0])); f(Y[2], L[2]) = L[3];",
+     12, Exhausted(12)),
+    ("schema: L[i] -> f(f(X[i+3], X[i+3]), L[i+1]);"
+     " M[i] -> f(Z[i+1], f(Z[i], M[i+2]));"
+     " problem: M[0] = f(f(a, a), f(Z[0], M[3]));", 12, Exhausted(12)),
+    ("schema: L[i] -> f(X[i], L[i]); problem: L[1] = f(a, L[0]);",
+     12, Exhausted(12)),
+]
+
+
+def test_corpus_records_match_the_closure_pair_reference(corpus, monkeypatch):
     for path, parsed in corpus:
         assert_matches_closure_pair_reference(parsed.problem, None)
-    for text in UNFOLDED_RIGHTS:
+    for text in UNFOLDED_RIGHTS + APPLICATION_STAR_INEXACT:
         assert_matches_closure_pair_reference(parse_problem(text).problem, 12)
     assert_matches_closure_pair_reference(parse_problem(BLOW_UP_1).problem, 16)
+    for text, cap, outcome in NAMED_INPUTS:
+        run = assert_matches_closure_pair_reference(parse_problem(text).problem, cap)
+        assert run.outcome == outcome
+    run = assert_matches_closure_pair_reference(tied_k_problem(32, monkeypatch), None)
+    assert run.outcome[:2] == (2, 0)
+
+
+def tied_k_problem(k, monkeypatch):
+    """tied-k of the stores workload, seed 1."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    from tied_k import tied_k
+
+    return parse_problem(tied_k(k, 1)).problem
 
 
 def assert_matches_closure_pair_reference(problem, cap):
@@ -622,6 +668,25 @@ def assert_matches_closure_pair_reference(problem, cap):
         assert want[-1].irr_cycle
     else:
         assert not any(ref.irr_cycle for ref in want)
+    return run
+
+
+def test_engine_input_follows_the_stored_classes(monkeypatch):
+    """On tied-32 the store is one class of 32 schema members, 992 closure
+    pairs; each later instance's engine gets at most 2k equations."""
+    sizes = []
+
+    def counting_th_unif(eqs, schema):
+        sizes.append(len(eqs))
+        return th_unif(eqs, schema)
+
+    problem = tied_k_problem(32, monkeypatch)
+    monkeypatch.setattr(solver, "th_unif", counting_th_unif)
+    run = u_sch_unif(problem)
+    assert isinstance(run.outcome, CycleFound)
+    assert len(sizes) == len(run.records) > 1
+    assert max(sizes[1:]) <= 2 * 32
+    assert max(len(rec.store) for rec in run.records) == 32 * 31
 
 
 def test_cycle_check_input_follows_the_groups(monkeypatch):
