@@ -51,11 +51,11 @@ equation reaches: the least one closed under the conditions.
 ``th_unif`` grows each class as its union-find node, an ``EngineClass``
 with every member in ``plain`` and the sides in an ordered set, then
 splits the members into schema and plain ones in place and, in one pass,
-flags which classes condition 1 stores.  The store is the union of the
-stored classes' closures, each built once and cached; its variables are
-read per class.  The active set, the rest of
-the saturated set, is built from the closures on each read of
-``FinalConfiguration.active``, and when the gate runs.
+flags which classes condition 1 stores.  The store, the union of the
+stored classes' closures, and the active set, the rest of the saturated
+set, are built from the classes' cached closures on each read of
+``FinalConfiguration.store`` and ``.active``, and when the gate runs; no
+closure is built otherwise.  The store's variables are read per class.
 
 The gate is plain unification of store and active set, and it is run only
 when it can fail.  Without a clash, every pair of sides of a class has the
@@ -79,7 +79,6 @@ reads them off the classes.
 from __future__ import annotations
 
 import graphlib
-from operator import itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .schema import Schema
@@ -154,28 +153,21 @@ class EngineClass:
 
 
 class FinalConfiguration(NamedTuple):
-    store: frozenset[Equation]
-    # The classes of the saturated set, in a fixed order; the active set is
-    # read off them.  Equality and hash leave them (and the active set) out.
+    # The classes of the saturated set, in a fixed order; the store and the
+    # active set are read off them.
     classes: tuple[EngineClass, ...]
     verdict: str  # "ok" | "clash" | "cycle"
     offending: Optional[Equation] = None
     vars: frozenset[Variable] = frozenset()  # the store's variables
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not FinalConfiguration:
-            return NotImplemented
-        return _compared(self) == _compared(other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(_compared(self))
-
     @property
     def ok(self) -> bool:
         return self.verdict == "ok"
+
+    @property
+    def store(self) -> frozenset[Equation]:
+        """The stored classes' closures, built on each read."""
+        return closures([c for c in self.classes if c.stored])
 
     @property
     def active(self) -> frozenset[Equation]:
@@ -184,7 +176,9 @@ class FinalConfiguration(NamedTuple):
         return frozenset(_active(self.classes))
 
 
-_compared = itemgetter(0, 2, 3, 4)  # every field but classes
+def closures(classes: Iterable[EngineClass]) -> frozenset[Equation]:
+    """The union of the classes' cached closures."""
+    return frozenset().union(*[c.closure() for c in classes])
 
 
 def _active(classes: Iterable[EngineClass]) -> list[Equation]:
@@ -276,7 +270,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         else:
             waiting.append(c)
     if clash is not None:  # all of the saturated set met so far is active
-        return FinalConfiguration(frozenset(), tuple(distinct), "clash", clash)
+        return FinalConfiguration(tuple(distinct), "clash", clash)
 
     # No waiting variable lies above bound, and unfolding never lowers an
     # index, so the search for condition 3 stops there.
@@ -298,14 +292,14 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             schema.unfold_into(eligible, moved, bound)
         waiting = [c for c in waiting if not c.stored]
 
-    store = frozenset([e for c in distinct if c.stored for e in c.closure()])
     verdict, offending = "ok", None
     if not _acyclic(distinct, classes):
-        gate = unify(list(store) + _active(distinct))
+        stored = [e for c in distinct if c.stored for e in c.closure()]
+        gate = unify(stored + _active(distinct))
         if isinstance(gate, UnifyFailure):
             verdict, offending = gate.kind, gate.equation
     return FinalConfiguration(
-        store, tuple(distinct), verdict, offending, frozenset(store_vars)
+        tuple(distinct), verdict, offending, frozenset(store_vars)
     )
 
 

@@ -21,8 +21,7 @@ check unifies each group's spanning set, the least plain member bound to
 each other member and to each side: plain unification is transitive, so it
 has the unifiers of the closure, at O(|C|) equations for a class C in place
 of O(|C|^2).  The unfolding depth and the irrelevant variables are read off
-the groups; ``InstanceRecord.irr``, the union of the closures each group
-builds once and caches, is built on each read.
+the groups.
 
 The next engine input is not the store's closure pairs with the step
 applied, O(|C|^2) for a stored class C, but ``unfolded_store``'s O(|C|)
@@ -35,7 +34,9 @@ sides: a star from a core application meets each leaf with that term
 only, so a variable inside another core term misses the leaf's argument
 as a side.  A core of applications is split by argument position
 instead.  The store's variables, its orbits, and the normalized and
-simplified store are read per class.
+simplified store are read per class.  A record keeps the stored classes
+and the groups: its ``store`` and ``irr``, the unions of the closures
+each class builds once and caches, are built on each read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .engine import EngineClass, th_unif
+from .engine import EngineClass, closures, th_unif
 from .schema import Schema, SchemaClass, SchematicProblem
 # Unused here; bench/tracing.py wraps solver.make_primitive (--trace 1 needs it).
 from .schema import make_primitive  # noqa: F401
@@ -65,7 +66,7 @@ class InstanceRecord(NamedTuple):
     and for trace emission."""
 
     i: int
-    store: frozenset[Equation]
+    classes: tuple[EngineClass, ...]  # the stored classes
     vars: frozenset[Variable]  # the variables of the store
     groups: tuple[EngineClass, ...]  # the irrelevant set
     step_sub: Substitution
@@ -78,10 +79,16 @@ class InstanceRecord(NamedTuple):
     ratio: Optional[Fraction] = None
 
     @property
+    def store(self) -> frozenset[Equation]:
+        """The store: the union of its classes' cached closures, built on
+        each read."""
+        return closures(self.classes)
+
+    @property
     def irr(self) -> frozenset[Equation]:
         """The irrelevant set: the union of its groups' cached closures,
         built on each read."""
-        return frozenset().union(*[g.closure() for g in self.groups])
+        return closures(self.groups)
 
 
 class CycleFound(NamedTuple):
@@ -320,59 +327,53 @@ def check_for_map(
     (as sets), identity on shared variables, mapping fr1 into fr2."""
     if len(eqs1) != len(eqs2):
         return None
-    shared = eq_vars(eqs1) & eq_vars(eqs2)
-    left = sorted_eqs(eqs1)
-    right = sorted_eqs(eqs2)
+    fixed = (eq_vars(eqs1) & eq_vars(eqs2), fr1, fr2)
+    return _match_eqs(sorted_eqs(eqs1), 0, sorted_eqs(eqs2), {}, fixed)
 
-    def match_term(
-        s: Term, t: Term, mu: dict[Variable, Variable]
-    ) -> Optional[dict[Variable, Variable]]:
-        if isinstance(s, Var):
+
+def _match_eqs(
+    left: list[Equation],
+    idx: int,
+    right: list[Equation],
+    mu: dict[Variable, Variable],
+    fixed: tuple[frozenset[Variable], ...],
+) -> Optional[dict[Variable, Variable]]:
+    """mu extended to map left[idx:] onto right, one equation onto each;
+    fixed holds the shared variables, fr1 and fr2.  A candidate's terms
+    are matched pair by pair, and mu is copied before it first grows."""
+    if idx == len(left):
+        return mu
+    shared, fr1, fr2 = fixed
+    e = left[idx]
+    for k, cand in enumerate(right):
+        nxt, todo = mu, [(e.lhs, cand.lhs), (e.rhs, cand.rhs)]
+        while todo:
+            s, t = todo.pop()
+            if isinstance(s, App):
+                if isinstance(t, Var) or s.head != t.head or len(s.args) != len(t.args):
+                    break
+                todo.extend(zip(s.args, t.args))
+                continue
             if not isinstance(t, Var):
-                return None
+                break
             v, w = s.var, t.var
-            if v.symbol != w.symbol:
-                return None
-            if v in mu:
-                return mu if mu[v] == w else None
-            if v in shared and v != w:
-                return None
+            if v in nxt:
+                if nxt[v] != w:
+                    break
+                continue
+            if v.symbol != w.symbol or v in shared and v != w:
+                break
             if v in fr1 and w not in fr2:
-                return None
-            mu = dict(mu)
-            mu[v] = w
-            return mu
-        if (
-            not isinstance(t, Var)
-            and s.head == t.head
-            and len(s.args) == len(t.args)
-        ):
-            for a, b in zip(s.args, t.args):
-                nxt = match_term(a, b, mu)
-                if nxt is None:
-                    return None
-                mu = nxt
-            return mu
-        return None
-
-    def go(
-        idx: int, remaining: list[Equation], mu: dict[Variable, Variable]
-    ) -> Optional[dict[Variable, Variable]]:
-        if idx == len(left):
-            return mu
-        e = left[idx]
-        for k, cand in enumerate(remaining):
-            nxt = match_term(e.lhs, cand.lhs, mu)
-            if nxt is not None:
-                nxt = match_term(e.rhs, cand.rhs, nxt)
-            if nxt is not None:
-                rest = remaining[:k] + remaining[k + 1 :]
-                found = go(idx + 1, rest, nxt)
-                if found is not None:
-                    return found
-        return None
-
-    return go(0, right, {})
+                break
+            if nxt is mu:
+                nxt = dict(mu)
+            nxt[v] = w
+        else:  # every pair matched
+            rest = right[:k] + right[k + 1 :]
+            found = _match_eqs(left, idx + 1, rest, nxt, fixed)
+            if found is not None:
+                return found
+    return None
 
 
 def var_disjoint(rec_i: InstanceRecord, rec_j: InstanceRecord) -> bool:
@@ -428,15 +429,16 @@ def instances(
         psi = step_substitution(store_vars, schema)
         eq_sub = compute_eq_sub(fc.classes)
         irrv = irr_vars - store_vars
+        stored = tuple([c for c in fc.classes if c.stored])
         normalized = normalized_store(
-            [e for c in fc.classes if c.stored for e in c.spanning()], schema
+            [e for c in stored for e in c.spanning()], schema
         )
         # eq_sub maps each orbit onto a member, and every orbit member
         # occurs in the store, so vars(NStore.eq_sub) = vars(NStore) - dom.
         live = len(eq_vars(normalized) - eq_sub.domain())
         yield InstanceRecord(
             i=i,
-            store=fc.store,
+            classes=stored,
             vars=store_vars,
             groups=groups,
             step_sub=psi,

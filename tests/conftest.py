@@ -548,7 +548,7 @@ def reference_th_unif(eqs, schema):
         clash = update()
         if clash is not None:
             # The partial set met before the clash is not kept.
-            return FinalConfiguration(frozenset(store), (), "clash", clash)
+            return FinalConfiguration((), "clash", clash)
         if not (orient1 or decom or orient2 or trans):
             break
         while orient1:
@@ -627,9 +627,7 @@ def reference_configuration(store, active, schema, verdict, offending):
         )
         for root, xs in members.items()
     )
-    fc = FinalConfiguration(
-        frozenset(store), classes, verdict, offending, eq_vars(store)
-    )
+    fc = FinalConfiguration(classes, verdict, offending, eq_vars(store))
     assert fc.active == active, "the saturated set is not closure-shaped"
     assert {e for c in classes if c.stored for e in c.closure()} == store
     assert eq_sub_orbits(compute_eq_sub(classes)) == reference_orbits(store)

@@ -251,8 +251,11 @@ def test_corpus_solver_oracle_agreement():
             assert report.first_failure is None, path
         elif isinstance(run.outcome, NotUnifiable):
             assert expected == "not-unifiable", path
-            report = bounded_check(parsed.problem, n=run.outcome.instance + 5)
+            # The first failure lies in [instance, instance + lookahead].
+            i, g = run.outcome.instance, run.outcome.lookahead
+            report = bounded_check(parsed.problem, n=i + g)
             assert report.first_failure is not None, path
+            assert report.first_failure[0] >= i, path
         else:
             raise AssertionError(f"{path}: unexpected outcome {run.outcome}")
     assert time.perf_counter() - start < 60.0

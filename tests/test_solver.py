@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemunif import solver
-from schemunif.cli import parse_problem
+from schemunif.cli import parse_problem, verdict_name
 from schemunif.engine import EngineClass, th_unif
 from schemunif.oracle import bounded_check
 from schemunif.schema import Schema, make_primitive
@@ -293,6 +294,20 @@ def test_check_for_map_backtracks_over_pairings():
     assert mu is not None
     assert mu[X(1).var] == X(4).var
     assert mu[X(2).var] == X(3).var
+
+
+def test_check_for_map_leaves_nothing_for_the_cyclic_collector(golden_run):
+    """A renaming search, found or not, frees what it builds on return: no
+    function of it sits in a reference cycle with its own cell."""
+    recs = golden_run.records
+    gc.collect()
+    gc.disable()
+    try:
+        for rec_i, rec_j in ((recs[15], recs[5]), (recs[15], recs[4])):
+            check_for_map(rec_i.fr, rec_i.simplified, rec_j.fr, rec_j.simplified)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stab_index_uses_depth_and_max_index():
@@ -689,6 +704,26 @@ def test_engine_input_follows_the_stored_classes(monkeypatch):
     assert max(len(rec.store) for rec in run.records) == 32 * 31
 
 
+def test_no_closure_is_built_unless_a_store_is_read(monkeypatch):
+    """On tied-32 the gate never runs and the records keep the stored
+    classes, so no class builds its closure pairs; the last record's store,
+    read afterwards, is the closure-pair loop's."""
+    problem = tied_k_problem(32, monkeypatch)
+    built = []
+    closure = EngineClass.closure
+
+    def counting_closure(c):
+        built.append(c)
+        return closure(c)
+
+    monkeypatch.setattr(EngineClass, "closure", counting_closure)
+    run = u_sch_unif(problem)
+    assert isinstance(run.outcome, CycleFound)
+    assert built == []
+    want = reference_instances(problem, len(run.records))
+    assert run.records[-1].store == want[-1].store
+
+
 def test_cycle_check_input_follows_the_groups(monkeypatch):
     """On tied-32 the irrelevant set gains one class of 32 plain members an
     instance, 992 closure pairs; cycle_check unifies at most 4k equations an
@@ -721,6 +756,28 @@ def assert_agrees_with_oracle(problem):
             report = bounded_check(problem, n=out.instance)
             assert report.first_failure is not None
             assert report.first_failure[0] == out.instance
+
+
+def rewrites(problem):
+    """The problem with every equation flipped, and with each equation's
+    flip added: both have the problem's unifiers."""
+    flipped = frozenset([e.flip() for e in problem.equations])
+    return [
+        problem._replace(equations=flipped),
+        problem._replace(equations=problem.equations | flipped),
+    ]
+
+
+def test_rewrites_that_keep_the_unifiers_keep_the_verdict_kind():
+    """Metamorphic checks: a problem, its equations flipped and their flips
+    added get one verdict kind, at cap 40."""
+    for strategy in (uniform_problems(), multi_rule_problems()):
+        for problem in derandomized_examples(strategy, 150):
+            kinds = [
+                verdict_name(u_sch_unif(p, cap=40).outcome)
+                for p in [problem, *rewrites(problem)]
+            ]
+            assert len(set(kinds)) == 1, (problem, kinds)
 
 
 # -- the loop scan -----------------------------------------------------------
@@ -827,12 +884,17 @@ def test_metric_follows_its_definition(sequence_problems):
 
 
 def comparable(rec):
-    """A record without its ratio, with each group as its fields: classes
-    compare by identity."""
-    groups = tuple(
-        (g.plain, g.sides, g.loops, g.schematic, g.stored) for g in rec.groups
+    """A record without its ratio, with each stored class and each group as
+    its fields: classes compare by identity."""
+    return rec._replace(
+        classes=class_fields(rec.classes),
+        groups=class_fields(rec.groups),
+        ratio=None,
     )
-    return rec._replace(groups=groups, ratio=None)
+
+
+def class_fields(classes):
+    return tuple((c.plain, c.sides, c.loops, c.schematic, c.stored) for c in classes)
 
 
 def test_instances_yields_the_runs_records(sequence_problems):
