@@ -1,7 +1,8 @@
 """Corpus output pinned byte for byte.
 
 For every problem in ``problems/`` and ``bench/inputs/``,
-``corpus_outputs.json`` holds the command line's ``--trace`` output and its
+``corpus_outputs.json`` holds the command line's ``--trace`` output, its
+``--json`` output (the benchmark's ``corpus`` operation) and its
 ``--json --oracle 12`` output, each with its stderr and exit code.  An
 intended output change regenerates the file and says why:
 
@@ -20,7 +21,11 @@ from schemunif.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 PINS = os.path.join(HERE, "corpus_outputs.json")
-MODES = {"trace": ["--trace"], "json_oracle": ["--json", "--oracle", "12"]}
+MODES = {
+    "trace": ["--trace"],
+    "json": ["--json"],
+    "json_oracle": ["--json", "--oracle", "12"],
+}
 
 
 def corpus_inputs() -> list[str]:
