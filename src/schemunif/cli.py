@@ -45,10 +45,10 @@ from .terms import App, Term, Var, var
 from .unify import Equation, sorted_eqs
 
 
-# Far deeper than any real problem.  The parser reads any depth without
-# recursion; the printers (``str`` fails from about 300 levels under the
-# default limit) and the term walks (``shift``, ``Schema.normalize``, the
-# unifier, the oracle) recurse per level and rely on ``main``'s limit.
+# Far deeper than any real problem.  The parser and the printers (``str``
+# of a term, an equation or a substitution) read and write any depth without
+# recursion; the term walks (``shift``, ``Schema.normalize``, the unifier,
+# the oracle) recurse per level and rely on ``main``'s limit.
 MAX_TERM_DEPTH = 1000
 
 
@@ -376,9 +376,9 @@ def _oracle_json(report: Optional[OracleReport]) -> Optional[dict]:
     }
 
 
-def to_json(run: SolverRun, oracle: Optional[OracleReport]) -> str:
+def _run_json(run: SolverRun, oracle: Optional[OracleReport]) -> dict:
     out = run.outcome
-    doc = {
+    return {
         "verdict": verdict_name(out),
         "i": getattr(out, "i", getattr(out, "instance", None)),
         "j": getattr(out, "j", None),
@@ -391,7 +391,42 @@ def to_json(run: SolverRun, oracle: Optional[OracleReport]) -> str:
         "instances": [_record_json(r) for r in run.records],
         "oracle": _oracle_json(oracle),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, indent: str = "") -> str:
+    """x as ``json.dumps(x, sort_keys=True, indent=2)`` writes it, nested
+    at indent, for the types a run's document holds: a dict with str keys,
+    list, str, int and None.  Anything else is a TypeError.  (json.dumps
+    with an indent runs its encoder in pure Python.)"""
+    t = type(x)
+    if t is str:
+        return _json_str(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if t is list:
+        brackets = "[]"
+    elif t is dict:
+        brackets = "{}"
+    else:
+        raise TypeError(f"{t.__name__} is not part of a run's JSON document")
+    if not x:
+        return brackets
+    inner = indent + "  "
+    if t is list:
+        items = [_json_text(v, inner) for v in x]
+    else:
+        items = [f"{_json_str(k)}: {_json_text(x[k], inner)}" for k in sorted(x)]
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
+def to_json(run: SolverRun, oracle: Optional[OracleReport]) -> str:
+    return _json_text(_run_json(run, oracle)) + "\n"
 
 
 # -- entry point ------------------------------------------------------------

@@ -449,10 +449,18 @@ def instances(
             metric_live=live - len(irrv),
         )
         eqs = unfolded_store(fc.classes, psi)
-        unfold = schema.step(inst_vars)
-        inst_vars = (inst_vars - unfold.domain()).union(
-            *(t.vars for t in unfold.mapping.values())
-        )
+        # The variables of the next instance: each schema variable X[j]
+        # gives way to those of its binding, base(X) shifted by j.
+        unfolded: set[Variable] = set()
+        for v in inst_vars:
+            if schema.contains(v):
+                j = v.index
+                unfolded.update(
+                    [Variable(sym, k + j) for sym, k in schema.base(v.symbol).vars]
+                )
+            else:
+                unfolded.add(v)
+        inst_vars = unfolded
 
 
 def u_sch_unif(

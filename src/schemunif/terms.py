@@ -12,9 +12,12 @@ object, equality is identity, and hashing is by identity too (both run in
 C).  A term that occurs many times is stored once (a term is a DAG, however
 large its tree).  Each node caches its tree size, depth, variable set and
 sort key when it is built, from its children's cached values, so reading
-any of them never walks the term.  Terms are immutable: assigning or
-deleting an attribute raises ``AttributeError``.  Copying or unpickling a
-term yields the interned object.
+any of them never walks the term.  Its text (``str``) is cached lazily:
+the first ``str`` builds it without recursion from its arguments' texts,
+building and caching those it meets without one, and the text then lives
+as long as the node, so each distinct node is rendered once.  Terms are
+immutable: assigning or deleting an attribute raises ``AttributeError``.
+Copying or unpickling a term yields the interned object.
 
 The intern tables are plain dicts from a structure to a weak reference to
 its term.  A lookup finds no term when there is no entry or its term has
@@ -68,9 +71,12 @@ class _Node:
     to run.  A variable's key is (0, symbol, index), an application's (1,
     head, arity, argument keys).  Shared subterms share their keys, and
     comparing two keys skips, by identity, what they share.
+
+    ``_text`` is the node's text, unset until the first ``str`` (see
+    ``_render``).
     """
 
-    __slots__ = ("size", "depth", "vars", "key", "__weakref__")
+    __slots__ = ("size", "depth", "vars", "key", "_text", "__weakref__")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,8 +90,40 @@ class _Node:
     def __deepcopy__(self, memo: dict) -> "_Node":
         return self
 
+    def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            return _render(self)
+
 
 _set = object.__setattr__
+
+
+def _render(t: _Node) -> str:
+    """t's text, cached on t and on each node below it that had none: a
+    node is rendered once its arguments are, from their cached texts, so
+    nothing recurses and no text is built twice."""
+    todo = [t]
+    while todo:
+        n = todo[-1]
+        if hasattr(n, "_text"):  # met before on another path
+            todo.pop()
+        elif type(n) is Var:
+            todo.pop()
+            _set(n, "_text", str(n.var))
+        else:
+            waiting = [a for a in n.args if not hasattr(a, "_text")]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            text = n.head
+            if n.args:
+                text = f"{text}({', '.join([a._text for a in n.args])})"
+            _set(n, "_text", text)
+    return t._text
+
 
 # Intern tables (see the module docstring).  They are process-wide and
 # filled without a lock: build terms from one thread at a time.
@@ -137,9 +175,6 @@ class Var(_Node):
     def __repr__(self) -> str:
         return f"Var(var={self.var!r})"
 
-    def __str__(self) -> str:
-        return str(self.var)
-
 
 _NO_VARS: frozenset = frozenset()
 
@@ -181,11 +216,6 @@ class App(_Node):
 
     def __repr__(self) -> str:
         return f"App(head={self.head!r}, args={self.args!r})"
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.head
-        return f"{self.head}({', '.join(map(str, self.args))})"
 
 
 Term = Union[Var, App]

@@ -19,7 +19,8 @@ hash and equality are tuple operations on identities, all in C.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, KeysView, Mapping, NamedTuple
 
 from .terms import App, Term, Var, Variable
 
@@ -102,22 +103,10 @@ class Substitution:
     def applier(self) -> Callable[[Term], Term]:
         """The substitution as a function with one memo for all its calls:
         each distinct node is rebuilt at most once, and a subterm with no
-        bound variable is returned as it is."""
+        bound variable is returned as it is.  The function refers to
+        nothing that refers back to it, so the memo is freed with it."""
         m = self._map
-        domain = m.keys()
-        memo: dict[int, Term] = {}
-
-        def go(t: Term) -> Term:
-            if domain.isdisjoint(t.vars):
-                return t
-            if isinstance(t, Var):
-                return m[t.var]
-            out = memo.get(id(t))
-            if out is None:
-                out = memo[id(t)] = App(t.head, tuple([go(a) for a in t.args]))
-            return out
-
-        return go
+        return partial(_apply, m, m.keys(), {})
 
     def compose(self, other: "Substitution") -> "Substitution":
         """(self then other): x(self;other) = other(self(x))."""
@@ -126,6 +115,26 @@ class Substitution:
         for v, t in other._map.items():
             m.setdefault(v, t)
         return Substitution(m)
+
+
+def _apply(
+    m: dict[Variable, Term],
+    domain: KeysView[Variable],
+    memo: dict[int, Term],
+    t: Term,
+) -> Term:
+    """m applied to t; memo maps the id of each node rebuilt so far to its
+    image (see ``Substitution.applier``)."""
+    if domain.isdisjoint(t.vars):
+        return t
+    if isinstance(t, Var):
+        return m[t.var]
+    out = memo.get(id(t))
+    if out is None:
+        out = memo[id(t)] = App(
+            t.head, tuple([_apply(m, domain, memo, a) for a in t.args])
+        )
+    return out
 
 
 class UnifyFailure(NamedTuple):
@@ -197,22 +206,31 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
 
 def _resolver(bound: dict[Variable, Term]) -> Callable[[Term], Term]:
     """Triangular bindings applied to a term, memoized over nodes; only
-    valid while no binding is added."""
-    memo: dict[int, Term] = {}
+    valid while no binding is added.  As with ``Substitution.applier``,
+    the function is in no reference cycle."""
+    return partial(_resolve, bound, bound.keys(), {})
 
-    def resolve(t: Term) -> Term:
-        if bound.keys().isdisjoint(t.vars):
-            return t
-        out = memo.get(id(t))
-        if out is None:
-            if isinstance(t, Var):
-                out = resolve(bound[t.var])
-            else:
-                out = App(t.head, tuple([resolve(a) for a in t.args]))
-            memo[id(t)] = out
-        return out
 
-    return resolve
+def _resolve(
+    bound: dict[Variable, Term],
+    domain: KeysView[Variable],
+    memo: dict[int, Term],
+    t: Term,
+) -> Term:
+    """The bindings applied to t, walked through in full; memo as for
+    ``_apply``."""
+    if domain.isdisjoint(t.vars):
+        return t
+    out = memo.get(id(t))
+    if out is None:
+        if isinstance(t, Var):
+            out = _resolve(bound, domain, memo, bound[t.var])
+        else:
+            out = App(
+                t.head, tuple([_resolve(bound, domain, memo, a) for a in t.args])
+            )
+        memo[id(t)] = out
+    return out
 
 
 def _resolved(bound: dict[Variable, Term]) -> dict[Variable, Term]:

@@ -334,6 +334,19 @@ def derandomized_examples(strategy, n):
     return out
 
 
+# -- reference printer -------------------------------------------------------
+
+
+def reference_str(t):
+    """The library's earlier term printer, kept as the reference: it
+    renders the whole tree on every call, recursing per level."""
+    if isinstance(t, Var):
+        return f"{t.var.symbol}[{t.var.index}]"
+    if not t.args:
+        return t.head
+    return f"{t.head}({', '.join(reference_str(a) for a in t.args)})"
+
+
 # -- reference unifier -------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from schemunif.cli import (
     print_problem,
     to_json,
 )
+from schemunif.oracle import bounded_check
 from schemunif.solver import (
     CycleFound,
     Exhausted,
@@ -27,6 +28,7 @@ from schemunif.solver import (
     u_sch_unif,
 )
 from .conftest import PROBLEM_DIR, SRC_PATH, L, X, Y, corpus_paths, eq, h
+from .test_corpus_outputs import ROOT, corpus_inputs
 
 EX7_TEXT = (
     "schema: L[i] -> h(h(X[i], h(X[i+1], X[i])), L[i+1]);"
@@ -199,6 +201,52 @@ def test_json_shape():
             "i", "store", "irr", "fr", "eq_sub", "psi",
             "metric", "metric_live", "ratio",
         }
+
+
+def _dumped(run, report):
+    """The document as json.dumps writes it, the writer's reference."""
+    doc = cli._run_json(run, report)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("relpath", corpus_inputs())
+def test_json_writer_matches_json_dumps_on_the_corpus(relpath):
+    with open(os.path.join(ROOT, relpath), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read()).problem
+    run = u_sch_unif(problem)
+    for report in (None, bounded_check(problem, n=12)):
+        assert to_json(run, report) == _dumped(run, report)
+
+
+def test_json_writer_edge_cases():
+    """No records, an empty fr, a cycle mapping and a size-capped oracle
+    report each come out as json.dumps writes them."""
+    def run_of(name):
+        with open(os.path.join(PROBLEM_DIR, name), encoding="utf-8") as fh:
+            problem = parse_problem(fh.read()).problem
+        return problem, u_sch_unif(problem)
+
+    _, empty = run_of("deep_occurs.prob")
+    assert empty.records == []
+    assert to_json(empty, None) == _dumped(empty, None)
+    assert '"instances": [],' in to_json(empty, None)
+
+    problem, cycle = run_of("ex7.prob")
+    doc = cli._run_json(cycle, None)
+    assert doc["mapping"] and [] in [r["fr"] for r in doc["instances"]]
+    capped = bounded_check(problem, n=12, node_cap=50)
+    assert capped.size_capped_at is not None
+    for report in (None, capped):
+        assert to_json(cycle, report) == _dumped(cycle, report)
+    assert cli._json_text({"empty": {}, "none": [None]}) == json.dumps(
+        {"empty": {}, "none": [None]}, sort_keys=True, indent=2
+    )
+
+
+@pytest.mark.parametrize("value", [1.5, True, ("a",), {"a": b"x"}, {1: "a"}])
+def test_json_writer_rejects_what_a_document_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def golden_path():
@@ -400,6 +448,39 @@ def test_depth_limit_holds_at_the_default_recursion_limit():
         1000,
         MAX_TERM_DEPTH,
         [str(err), err.line, err.column],
+    ]
+
+
+def test_printing_holds_at_the_default_recursion_limit():
+    """A term MAX_TERM_DEPTH deep prints in a fresh interpreter, at the
+    default recursion limit, alone and inside an equation and a
+    substitution, with the text the nesting gives."""
+    script = (
+        "import json, sys\n"
+        "from schemunif.cli import MAX_TERM_DEPTH\n"
+        "from schemunif.terms import app, var\n"
+        "from schemunif.unify import Equation, Substitution\n"
+        "t = var('X', 0)\n"
+        "for _ in range(MAX_TERM_DEPTH - 1):\n"
+        "    t = app('g', t)\n"
+        "texts = [str(Equation(var('Y', 1), t)), str(Substitution({var('Y', 1).var: t}))]\n"
+        "print(json.dumps([sys.getrecursionlimit(), t.depth, str(t), *texts]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    deep = _nested(MAX_TERM_DEPTH)
+    assert json.loads(proc.stdout) == [
+        1000,
+        MAX_TERM_DEPTH,
+        deep,
+        f"Y[1] = {deep}",
+        f"{{Y[1] -> {deep}}}",
     ]
 
 

@@ -11,7 +11,17 @@ from schemunif import terms as terms_module
 from schemunif.cli import parse_problem
 from schemunif.terms import App, Var, Variable, app, const, shift, var
 
-from .conftest import GOLDEN_BASE, PROBLEM_DIR, X, Z, f, positions, subterms, terms
+from .conftest import (
+    GOLDEN_BASE,
+    PROBLEM_DIR,
+    X,
+    Z,
+    f,
+    positions,
+    reference_str,
+    subterms,
+    terms,
+)
 
 
 def test_variable_str():
@@ -70,6 +80,29 @@ def test_variable_value_semantics():
 def test_term_str():
     assert str(f(X(0), app("g", X(1)))) == "f(X[0], g(X[1]))"
     assert str(const("a")) == "a"
+
+
+@given(terms(), terms())
+def test_cached_text_matches_the_reference_printer(s, t):
+    """str(u) is the text of the recursive printer whether or not some of
+    u's subterms were printed before (s is, first), and a second str(u)
+    returns the cached text itself."""
+    u = f(s, t)
+    assert str(s) == reference_str(s)
+    text = str(u)
+    assert text == reference_str(u)
+    assert str(u) is text
+    for sub in subterms(u):
+        assert str(sub) == reference_str(sub)
+
+
+def test_a_shared_subterm_keeps_one_text():
+    shared = f(X(7), app("g", Z(8)))
+    t = f(shared, f(shared, shared))
+    text = str(t)
+    assert text == "f(f(X[7], g(Z[8])), f(f(X[7], g(Z[8])), f(X[7], g(Z[8]))))"
+    assert str(shared) is str(shared)
+    assert str(t) is text
 
 
 def test_shift_example():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 from collections import Counter
 
@@ -74,6 +75,25 @@ def test_unify_occurs_cycle():
     assert isinstance(r, UnifyFailure)
     assert r.kind == "cycle"
     assert not unifiable([eq(X(0), f(Y(0), Y(1))), eq(Y(0), X(0))])
+
+
+def test_appliers_leave_nothing_for_the_cyclic_collector():
+    """An applier and the resolver of an mgu or of a failing unify are
+    freed, with their memos, on return: none sits in a reference cycle."""
+    s = Substitution({X(0).var: f(X(1), X(2)), X(1).var: app("g", X(3))})
+    cyclic = [eq(X(0), f(X(1), Y(0))), eq(X(1), f(Y(1), X(2))), eq(X(2), f(X(0), Y(2)))]
+    gc.collect()
+    gc.disable()
+    try:
+        out = s.apply_eqs([eq(f(X(0), X(1)), X(0)), eq(X(1), X(5))])
+        assert eq(X(1), X(5)) not in out
+        failure = unify(cyclic)
+        assert isinstance(failure, UnifyFailure) and failure.kind == "cycle"
+        mgu = unify(cyclic[:2])
+        assert mgu.mapping[X(0).var] == f(f(Y(1), X(2)), Y(0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unify_chained():
