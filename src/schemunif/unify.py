@@ -103,10 +103,22 @@ class Substitution:
     def applier(self) -> Callable[[Term], Term]:
         """The substitution as a function with one memo for all its calls:
         each distinct node is rebuilt at most once, and a subterm with no
-        bound variable is returned as it is.  The function refers to
-        nothing that refers back to it, so the memo is freed with it."""
+        bound variable is returned as it is."""
         m = self._map
-        return partial(_apply, m, m.keys(), {})
+        domain = m.keys()
+        memo: dict[int, Term] = {}
+
+        def go(t: Term) -> Term:
+            if domain.isdisjoint(t.vars):
+                return t
+            if isinstance(t, Var):
+                return m[t.var]
+            out = memo.get(id(t))
+            if out is None:
+                out = memo[id(t)] = App(t.head, tuple([go(a) for a in t.args]))
+            return out
+
+        return go
 
     def compose(self, other: "Substitution") -> "Substitution":
         """(self then other): x(self;other) = other(self(x))."""
@@ -115,26 +127,6 @@ class Substitution:
         for v, t in other._map.items():
             m.setdefault(v, t)
         return Substitution(m)
-
-
-def _apply(
-    m: dict[Variable, Term],
-    domain: KeysView[Variable],
-    memo: dict[int, Term],
-    t: Term,
-) -> Term:
-    """m applied to t; memo maps the id of each node rebuilt so far to its
-    image (see ``Substitution.applier``)."""
-    if domain.isdisjoint(t.vars):
-        return t
-    if isinstance(t, Var):
-        return m[t.var]
-    out = memo.get(id(t))
-    if out is None:
-        out = memo[id(t)] = App(
-            t.head, tuple([_apply(m, domain, memo, a) for a in t.args])
-        )
-    return out
 
 
 class UnifyFailure(NamedTuple):
@@ -206,8 +198,8 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
 
 def _resolver(bound: dict[Variable, Term]) -> Callable[[Term], Term]:
     """Triangular bindings applied to a term, memoized over nodes; only
-    valid while no binding is added.  As with ``Substitution.applier``,
-    the function is in no reference cycle."""
+    valid while no binding is added.  The function refers to nothing
+    that refers back to it, so its memo is freed with it."""
     return partial(_resolve, bound, bound.keys(), {})
 
 
@@ -217,8 +209,8 @@ def _resolve(
     memo: dict[int, Term],
     t: Term,
 ) -> Term:
-    """The bindings applied to t, walked through in full; memo as for
-    ``_apply``."""
+    """The bindings applied to t, walked through in full; memo maps the id
+    of each node resolved so far to its image."""
     if domain.isdisjoint(t.vars):
         return t
     out = memo.get(id(t))

@@ -77,16 +77,13 @@ def test_unify_occurs_cycle():
     assert not unifiable([eq(X(0), f(Y(0), Y(1))), eq(Y(0), X(0))])
 
 
-def test_appliers_leave_nothing_for_the_cyclic_collector():
-    """An applier and the resolver of an mgu or of a failing unify are
-    freed, with their memos, on return: none sits in a reference cycle."""
-    s = Substitution({X(0).var: f(X(1), X(2)), X(1).var: app("g", X(3))})
+def test_resolvers_leave_nothing_for_the_cyclic_collector():
+    """The resolver of an mgu's map or of a unify that fails on a cycle is
+    freed, with its memo, on return: it sits in no reference cycle."""
     cyclic = [eq(X(0), f(X(1), Y(0))), eq(X(1), f(Y(1), X(2))), eq(X(2), f(X(0), Y(2)))]
     gc.collect()
     gc.disable()
     try:
-        out = s.apply_eqs([eq(f(X(0), X(1)), X(0)), eq(X(1), X(5))])
-        assert eq(X(1), X(5)) not in out
         failure = unify(cyclic)
         assert isinstance(failure, UnifyFailure) and failure.kind == "cycle"
         mgu = unify(cyclic[:2])
