@@ -41,14 +41,14 @@ from .solver import (
     StabilityViolation,
     u_sch_unif,
 )
-from .terms import App, Term, Var, var
+from .terms import App, Term, var
 from .unify import Equation, sorted_eqs
 
 
-# Far deeper than any real problem.  The parser and the printers (``str``
-# of a term, an equation or a substitution) read and write any depth without
-# recursion; the term walks (``shift``, ``Schema.normalize``, the unifier,
-# the oracle) recurse per level and rely on ``main``'s limit.
+# Far deeper than any real problem.  The parser and the printers (``str``,
+# ``print_problem``) read and write any depth without recursion; the term
+# walks (``terms.rebuild``, ``shift``) and sorting equations by key recurse
+# per level and rely on ``main``'s limit.
 MAX_TERM_DEPTH = 1000
 
 
@@ -268,13 +268,8 @@ def print_problem(parsed: ParsedProblem) -> str:
 
 
 def _schematic_str(t: Term) -> str:
-    if isinstance(t, Var):
-        if t.var.index == 0:
-            return f"{t.var.symbol}[i]"
-        return f"{t.var.symbol}[i+{t.var.index}]"
-    if not t.args:
-        return t.head
-    return f"{t.head}({', '.join(_schematic_str(a) for a in t.args)})"
+    """t's text with each index k as i+k, or i for 0 (only variables have brackets)."""
+    return re.sub(r"\[([1-9][0-9]*)\]", r"[i+\1]", str(t)).replace("[0]", "[i]")
 
 
 # -- output -----------------------------------------------------------------

@@ -6,11 +6,11 @@ symbol at shift 0.  This module covers classification (not-simple / simple /
 uniform / primitive), one unfolding step of a set of variables, iterated
 instantiation (it stops once a step has nothing left to unfold), the
 variables that unfolding a set of schema variables reaches up to an index
-bound, folding of unfoldings back to schema variables (normalization, one
-identity test per rule, as terms are interned), and a uniform-to-primitive
-rewrite of the schema alone, which the solver does not use.  It also holds
-``SchematicProblem``, an equation set with its schema, so that the oracle
-needs nothing of the solver.
+bound, folding of unfoldings back to schema variables (normalization, a
+rebuild that makes one identity test per rule, as terms are interned), and
+a uniform-to-primitive rewrite of the schema alone, which the solver does
+not use.  It also holds ``SchematicProblem``, an equation set with its
+schema, so that the oracle needs nothing of the solver.
 
 A ``Schema`` builds its symbol -> base table and its domain once, when it
 is made, so lookups are dict and set operations; nothing in it changes
@@ -25,7 +25,7 @@ import enum
 import itertools
 from typing import Iterable, NamedTuple
 
-from .terms import App, Term, Var, Variable, shift, var
+from .terms import App, Term, Var, Variable, rebuild, shift, var
 from .unify import Equation, Substitution, eq_vars
 
 
@@ -153,12 +153,6 @@ class Schema:
         """One unfolding of every schema variable among vs."""
         return Substitution({v: self.binding(v) for v in vs if self.contains(v)})
 
-    def instance(self, t: Term, i: int) -> Term:
-        """The i-th instance: i rounds of unfolding every schema variable."""
-        for _ in range(i):
-            t = self.step(t.vars).apply(t)
-        return t
-
     def instance_eqs(self, eqs: Iterable[Equation], i: int) -> frozenset[Equation]:
         """The i-th instance; it stops once nothing is left to unfold."""
         out = frozenset(eqs)
@@ -174,13 +168,13 @@ class Schema:
     def normalize(self, t: Term) -> Term:
         """Fold every maximal subterm equal to an unfolding of some L[d]
         back to L[d].  Children are folded first, so a k-fold unfolding
-        collapses one layer at a time from the inside out.  A rebuilt node
-        r folds to L[d] when ``shift(d, base(L)) is r``; one variable of the
+        collapses one layer at a time from the inside out."""
+        return rebuild({}, t.vars, Var, False, self._fold, t)
+
+    def _fold(self, r: App) -> Term:
+        """L[d] if ``shift(d, base(L)) is r``, else r.  One variable of the
         base fixes d, as the smallest index of its symbol in r less the one
         in the base.  A ground base never folds; rules are tried in order."""
-        if isinstance(t, Var):
-            return t
-        r = App(t.head, tuple(self.normalize(a) for a in t.args))
         for symbol, base in self.rules:
             if not base.vars:
                 continue
@@ -202,9 +196,6 @@ class SchematicProblem(NamedTuple):
 
     equations: frozenset[Equation]
     schema: Schema
-
-    def instance(self, i: int) -> frozenset[Equation]:
-        return self.schema.instance_eqs(self.equations, i)
 
 
 # -- uniform -> primitive rewrite -------------------------------------------

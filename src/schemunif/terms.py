@@ -19,6 +19,10 @@ as long as the node, so each distinct node is rendered once.  Terms are
 immutable: assigning or deleting an attribute raises ``AttributeError``.
 Copying or unpickling a term yields the interned object.
 
+``rebuild`` is the one memoized walk that rewrites terms: substitution, the
+unifier's resolution of its bindings and normalization all call it.  It
+recurses once per level, as does ``shift``, a walk of its own, unmemoized.
+
 The intern tables are plain dicts from a structure to a weak reference to
 its term.  A lookup finds no term when there is no entry or its term has
 died.  When a term dies, its reference's callback deletes its entry, but
@@ -29,7 +33,7 @@ garbage-collected cycle can call back after a new term has taken its key.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, NamedTuple, Union
+from typing import AbstractSet, Callable, NamedTuple, Union
 
 
 class _VariableFields(NamedTuple):
@@ -231,6 +235,32 @@ def app(head: str, *args: Term) -> Term:
 
 def const(name: str) -> Term:
     return App(name, ())
+
+
+def rebuild(
+    memo: dict, touched: AbstractSet, image: Callable, chase: bool, fold, t: Term
+) -> Term:
+    """t with each variable x in touched replaced by image(x), memoized over
+    nodes: a subterm with no variable in touched is returned as it is, any
+    other node is rebuilt once per memo, and with chase an image is rebuilt
+    in turn (acyclic triangular bindings).  Each rebuilt application goes
+    through fold unless it is None.  Callers bind all but t with
+    ``functools.partial``, so nothing refers back to the walk or its memo."""
+    if touched.isdisjoint(t.vars):
+        return t
+    out = memo.get(t)
+    if out is None:
+        if type(t) is Var:
+            out = image(t.var)
+            if chase:
+                out = rebuild(memo, touched, image, chase, fold, out)
+        else:
+            args = [rebuild(memo, touched, image, chase, fold, a) for a in t.args]
+            out = App(t.head, tuple(args))
+            if fold is not None:
+                out = fold(out)
+        memo[t] = out
+    return out
 
 
 def shift(d: int, t: Term) -> Term:

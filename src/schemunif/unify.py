@@ -8,10 +8,10 @@ another.  Over interned terms this keeps the work proportional to the
 distinct subterms of the input, where a fully applied solved form can be
 exponentially larger than it.  The mgu is resolved on first read: a
 successful ``unify`` returns a ``Substitution`` holding the triangular
-bindings, and the first look at its map applies them all, with one memo
-shared by all bindings.  A caller that wants only the verdict never pays
-for the map.  Failure is reported as a verdict (Clash or Cycle) carrying
-the offending equation, not as an exception.
+bindings, and the first look at its map applies them all in one
+``terms.rebuild``, whose memo all bindings share.  A caller that wants only
+the verdict never pays for the map.  Failure is reported as a verdict
+(Clash or Cycle) carrying the offending equation, not as an exception.
 
 An ``Equation`` is a value tuple ``(lhs, rhs)``: over interned terms its
 hash and equality are tuple operations on identities, all in C.
@@ -20,9 +20,9 @@ hash and equality are tuple operations on identities, all in C.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, KeysView, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .terms import App, Term, Var, Variable
+from .terms import App, Term, Var, Variable, rebuild
 
 
 class Equation(NamedTuple):
@@ -101,24 +101,11 @@ class Substitution:
         return frozenset(Equation(go(e.lhs), go(e.rhs)) for e in eqs)
 
     def applier(self) -> Callable[[Term], Term]:
-        """The substitution as a function with one memo for all its calls:
-        each distinct node is rebuilt at most once, and a subterm with no
-        bound variable is returned as it is."""
+        """The substitution as a ``terms.rebuild`` with one memo for all its
+        calls: each distinct node is rebuilt at most once, and a subterm
+        with no bound variable is returned as it is."""
         m = self._map
-        domain = m.keys()
-        memo: dict[int, Term] = {}
-
-        def go(t: Term) -> Term:
-            if domain.isdisjoint(t.vars):
-                return t
-            if isinstance(t, Var):
-                return m[t.var]
-            out = memo.get(id(t))
-            if out is None:
-                out = memo[id(t)] = App(t.head, tuple([go(a) for a in t.args]))
-            return out
-
-        return go
+        return partial(rebuild, {}, m.keys(), m.__getitem__, False, None)
 
     def compose(self, other: "Substitution") -> "Substitution":
         """(self then other): x(self;other) = other(self(x))."""
@@ -197,32 +184,9 @@ def unify(eqs: Iterable[Equation]) -> Substitution | UnifyFailure:
 
 
 def _resolver(bound: dict[Variable, Term]) -> Callable[[Term], Term]:
-    """Triangular bindings applied to a term, memoized over nodes; only
-    valid while no binding is added.  The function refers to nothing
-    that refers back to it, so its memo is freed with it."""
-    return partial(_resolve, bound, bound.keys(), {})
-
-
-def _resolve(
-    bound: dict[Variable, Term],
-    domain: KeysView[Variable],
-    memo: dict[int, Term],
-    t: Term,
-) -> Term:
-    """The bindings applied to t, walked through in full; memo maps the id
-    of each node resolved so far to its image."""
-    if domain.isdisjoint(t.vars):
-        return t
-    out = memo.get(id(t))
-    if out is None:
-        if isinstance(t, Var):
-            out = _resolve(bound, domain, memo, bound[t.var])
-        else:
-            out = App(
-                t.head, tuple([_resolve(bound, domain, memo, a) for a in t.args])
-            )
-        memo[id(t)] = out
-    return out
+    """Triangular bindings applied to a term in full; valid until a
+    binding is added."""
+    return partial(rebuild, {}, bound.keys(), bound.__getitem__, True, None)
 
 
 def _resolved(bound: dict[Variable, Term]) -> dict[Variable, Term]:

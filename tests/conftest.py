@@ -77,6 +77,18 @@ def unifiable(eqs):
     return isinstance(unify(eqs), Substitution)
 
 
+def instance(schema, t, i):
+    """The i-th instance of one term: i rounds of unfolding every schema
+    variable, through ``Schema.instance_eqs``."""
+    (e,) = schema.instance_eqs([Equation(t, t)], i)
+    return e.lhs
+
+
+def problem_instance(problem, i):
+    """The i-th instance of a problem's equations."""
+    return problem.schema.instance_eqs(problem.equations, i)
+
+
 def subterms(t):
     """Every subterm occurrence of t, in pre-order."""
     yield t

@@ -40,6 +40,8 @@ from .conftest import (
     eq,
     f,
     h,
+    instance,
+    problem_instance,
     unifiable,
 )
 from .test_corpus_outputs import ROOT, assert_matches_pins, load_pins
@@ -136,7 +138,7 @@ def test_golden_stab_ratios(golden_run):
 
 def test_h_schema_first_store(h_problem):
     schema = h_problem.schema
-    fc = th_unif(h_problem.instance(1), schema)
+    fc = th_unif(problem_instance(h_problem, 1), schema)
     assert fc.store == {
         eq(Y(0), h(X(0), h(X(1), X(0)))),
         eq(L(1), h(Y(1), Y(0))),
@@ -145,7 +147,7 @@ def test_h_schema_first_store(h_problem):
 
 def test_h_schema_second_store_and_unfold_identity(h_problem):
     schema = h_problem.schema
-    store1 = th_unif(h_problem.instance(1), schema).store
+    store1 = th_unif(problem_instance(h_problem, 1), schema).store
     psi = Substitution({L(1).var: schema.binding(L(1).var)})
     via_store = th_unif(psi.apply_eqs(store1), schema)
     assert via_store.store == {
@@ -153,7 +155,7 @@ def test_h_schema_second_store_and_unfold_identity(h_problem):
         eq(L(2), h(X(0), h(X(1), X(0)))),
         eq(Y(0), h(X(0), h(X(1), X(0)))),
     }
-    direct = th_unif(h_problem.instance(2), schema)
+    direct = th_unif(problem_instance(h_problem, 2), schema)
     assert via_store.store == direct.store
 
 
@@ -309,7 +311,7 @@ def test_normalized_store_depth_and_shape_bounds_on_corpus():
         )
         problem = SchematicProblem(eqs, schema)
         reference = []
-        for e in problem.instance(1):
+        for e in problem_instance(problem, 1):
             reference.extend([e.lhs, e.rhs])
         cap = max(t.depth for t in reference)
         for rec in u_sch_unif(problem).records:
@@ -324,7 +326,7 @@ def test_oracle_failures_are_monotone_on_corpus():
         if report.first_failure is not None:
             k, _ = report.first_failure
             for later in range(k, min(report.checked_up_to, k + 3) + 1):
-                assert not unifiable(parsed.problem.instance(later)), (
+                assert not unifiable(problem_instance(parsed.problem, later)), (
                     path,
                     later,
                 )
@@ -340,7 +342,7 @@ def test_fold_inverts_unfold_grid():
     for schema in schemas:
         for d in range(6):
             for k in range(5):
-                t = schema.instance(L(d), k)
+                t = instance(schema, L(d), k)
                 assert schema.normalize(t) == L(d), (str(schema), d, k)
 
 

@@ -484,6 +484,34 @@ def test_printing_holds_at_the_default_recursion_limit():
     ]
 
 
+def test_print_problem_holds_at_the_default_recursion_limit():
+    """A schema base MAX_TERM_DEPTH deep prints back to the file syntax in
+    a fresh interpreter, at the default recursion limit, and the printed
+    text parses to the same problem."""
+    base = "g(" * (MAX_TERM_DEPTH - 2) + "f(X[i], Y[i+2], L[i+1])" + ")" * (
+        MAX_TERM_DEPTH - 2
+    )
+    text = f"schema:\n  L[i] -> {base};\nproblem:\n  L[0] = Y[0];\n"
+    script = (
+        "import json, sys\n"
+        "from schemunif.cli import parse_problem, print_problem\n"
+        "parsed = parse_problem(sys.stdin.read())\n"
+        "printed = print_problem(parsed)\n"
+        "same = parse_problem(printed) == parsed\n"
+        "print(json.dumps([sys.getrecursionlimit(), printed, same]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_PATH),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1000, text, True]
+
+
 def test_an_earlier_error_comes_before_the_depth_limit():
     text = "schema: L[i] -> f(X[i], L[i+1]) problem: L[0] = {};"
     with pytest.raises(ParseError, match="expected ';'"):

@@ -20,6 +20,7 @@ from .conftest import (
     eq,
     f,
     h,
+    instance,
     primitive_schemas,
     reference_normalize,
 )
@@ -108,14 +109,14 @@ def test_step_unfolds_only_schema_variables():
 def test_instance_zero_is_identity():
     schema = Schema.of({"L": EX_BASE})
     t = h(L(0), Y(0))
-    assert schema.instance(t, 0) == t
+    assert instance(schema, t, 0) == t
 
 
 def test_instance_one_unfolds_each_schema_var_once():
     schema = Schema.of({"L": EX_BASE})
-    t = schema.instance(L(0), 1)
+    t = instance(schema, L(0), 1)
     assert t == EX_BASE
-    t2 = schema.instance(L(0), 2)
+    t2 = instance(schema, L(0), 2)
     assert t2 == h(h(X(0), h(X(1), X(0))), shift(1, EX_BASE))
 
 
@@ -150,7 +151,7 @@ def test_normalize_folds_inside_context():
     st.integers(min_value=0, max_value=4),
 )
 def test_normalize_inverts_instance(schema, d, k):
-    t = schema.instance(L(d), k)
+    t = instance(schema, L(d), k)
     assert schema.normalize(t) == L(d)
 
 
@@ -178,7 +179,7 @@ def unfolded_terms(draw):
     offsets = st.integers(0, 4)
 
     def unfolding(rule, d, k):
-        return schema.instance(shift(d, rule[1]), k)
+        return instance(schema, shift(d, rule[1]), k)
 
     def replace_one(rule, d, child, pick):
         t = shift(d, rule[1])

@@ -47,6 +47,7 @@ from .conftest import (
     f,
     h,
     multi_rule_problems,
+    problem_instance,
     reference_instances,
     subterms,
     tied_ring,
@@ -486,7 +487,7 @@ def test_normalized_stores_stay_within_first_unfolding(corpus):
         )
         problem = SchematicProblem(eqs, schema)
         reference = []
-        for e in problem.instance(1):
+        for e in problem_instance(problem, 1):
             reference.extend([e.lhs, e.rhs])
         depth_cap = max(t.depth for t in reference)
         run = u_sch_unif(problem)
@@ -878,7 +879,7 @@ def test_metric_follows_its_definition(sequence_problems):
         for rec in u_sch_unif(problem, cap=cap).records:
             irrv = {v for v in eq_vars(rec.irr) if not schema.contains(v)}
             irrv -= rec.vars
-            inst_vars = eq_vars(problem.instance(rec.i))
+            inst_vars = eq_vars(problem_instance(problem, rec.i))
             want = len(inst_vars) - len(rec.eq_sub.domain()) - len(irrv)
             assert rec.metric == want, (problem, rec.i)
 

@@ -18,6 +18,7 @@ from .conftest import (
     Z,
     f,
     positions,
+    problem_instance,
     reference_str,
     subterms,
     terms,
@@ -228,7 +229,7 @@ def test_unfolded_instance_is_shared():
     # one distinct node.
     with open(os.path.join(PROBLEM_DIR, "double_rec.prob")) as fh:
         problem = parse_problem(fh.read()).problem
-    inst = problem.instance(16)
+    inst = problem_instance(problem, 16)
     assert sum(e.lhs.size + e.rhs.size for e in inst) >= 131_072
     seen, todo = set(), [t for e in inst for t in (e.lhs, e.rhs)]
     while todo:

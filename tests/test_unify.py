@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from schemunif import engine, oracle, solver
 from schemunif import unify as unify_module
-from schemunif.terms import app, const, var
+from schemunif.schema import Schema
+from schemunif.terms import app, const, shift, var
 from schemunif.unify import (
     Equation,
     Substitution,
@@ -19,7 +20,7 @@ from schemunif.unify import (
     unify,
 )
 
-from .conftest import X, Y, Z, eq, equations, f, reference_unify, terms, unifiable
+from .conftest import L, X, Y, Z, eq, equations, f, reference_unify, terms, unifiable
 
 
 def test_substitution_drops_self_bindings():
@@ -78,16 +79,28 @@ def test_unify_occurs_cycle():
 
 
 def test_resolvers_leave_nothing_for_the_cyclic_collector():
-    """The resolver of an mgu's map or of a unify that fails on a cycle is
-    freed, with its memo, on return: it sits in no reference cycle."""
+    """Every rebuild is freed, with its memo, on return: the resolver of an
+    mgu's map or of a unify that fails on a cycle, a substitution's applier
+    and ``apply_eqs``, and ``Schema.normalize``.  None sits in a reference
+    cycle."""
     cyclic = [eq(X(0), f(X(1), Y(0))), eq(X(1), f(Y(1), X(2))), eq(X(2), f(X(0), Y(2)))]
+    sub = Substitution({X(0).var: f(Y(0), Y(1)), Y(1).var: Z(0)})
+    schema = Schema.of({"L": f(X(0), L(1))})
+    unfolded = f(Y(0), shift(2, f(X(0), f(X(1), L(2)))))
     gc.collect()
     gc.disable()
     try:
         failure = unify(cyclic)
         assert isinstance(failure, UnifyFailure) and failure.kind == "cycle"
+        assert gc.collect() == 0
         mgu = unify(cyclic[:2])
         assert mgu.mapping[X(0).var] == f(f(Y(1), X(2)), Y(0))
+        assert gc.collect() == 0
+        assert sub.applier()(f(X(0), Y(1))) == f(f(Y(0), Y(1)), Z(0))
+        assert gc.collect() == 0
+        assert sub.apply_eqs([eq(X(0), Y(1))]) == {eq(f(Y(0), Y(1)), Z(0))}
+        assert gc.collect() == 0
+        assert schema.normalize(unfolded) == f(Y(0), L(2))
         assert gc.collect() == 0
     finally:
         gc.enable()
