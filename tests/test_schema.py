@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 from collections import Counter
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from schemunif.schema import Schema, SchemaClass, SchemaError, make_primitive
 from schemunif.terms import app, shift, var
-from schemunif.unify import Substitution
+from schemunif.unify import Substitution, sorted_eqs
 
 from .conftest import (
     EX_BASE,
@@ -318,3 +319,103 @@ def test_fresh_names_avoid_existing_symbols():
     fresh = introduced - original_syms
     assert fresh  # flattening had to invent names
     assert all("@" in name for name in fresh)
+
+
+def primitive_text(eqs, schema):
+    """make_primitive's rewritten equations, rules and renaming as text."""
+    out_eqs, prim, renaming = make_primitive(eqs, schema)
+    return " | ".join(
+        ["; ".join(map(str, sorted_eqs(out_eqs))), str(prim), str(renaming)]
+    )
+
+
+# make_primitive's output on the LSR schema and each corpus schema: the LSR
+# schema's W[3] is renamed to W@3[0] as R is flattened, then to W@3@0[0] as
+# S is, and the renaming keeps both steps.
+PRIMITIVE_PINS = {
+    "LSR": "L[0] = Y[0]; S[0] = Y[1]"
+    " | L[i] -> f(f(X[0], f(Z[1], f(E@3[0], f(X[1], f(W@4[1], X[1]))))), L[1]);"
+    " R[i] -> f(f(W@0[0], W@4[0]), R[1]);"
+    " S[i] -> f(f(E@0[0], f(W@3@0[0], E@2[0])), S[1])"
+    " | {E[0] -> E@0[0], E[2] -> E@2[0], E[3] -> E@3[0], W[0] -> W@0[0],"
+    " W[3] -> W@3@0[0], W[4] -> W@4[0], W[11] -> W@4[1], W@3[0] -> W@3@0[0]}",
+    "clash_in_schema": "L[0] = f(g(Y[0]), Y[1]); X[1] = a | L[i] -> f(X[0], L[1]) | {}",
+    "const_clash": "L[0] = a | L[i] -> f(X[0], L[1]) | {}",
+    "const_tail": "L[0] = f(Y[0], f(Y[1], Y[2])); Y[1] = c | L[i] -> f(c, L[1]) | {}",
+    "cross_clash": "L[0] = M[0] | L[i] -> f(X[0], L[1]); M[i] -> g(X[0], M[1]) | {}",
+    "deep_occurs": (
+        "L[0] = f(Y[0], Y[1]); X[0] = f(Y[2], X[1]); Y[2] = X[0]"
+        " | L[i] -> f(X[0], L[1])"
+        " | {}"
+    ),
+    "double_rec": "L[0] = f(Y[0], Y[0]) | L[i] -> f(L[1], L[1]) | {}",
+    "ex7": (
+        "L[0] = h(Y[0], h(Y[1], Y[0]))"
+        " | L[i] -> h(h(X[0], h(X[1], X[0])), L[1])"
+        " | {}"
+    ),
+    "ex9_like": "L[0] = f(Y[0], Y[0]) | L[i] -> f(X[0], f(X[1], L[1])) | {}",
+    "golden": (
+        "f(X[4], L[0]) = f(f(Y[3], Y[3]), f(Y[0], f(Y[1], Y[0])))"
+        " | L[i] -> f(f(X[1], f(Z[0], f(X[1], f(X[0], f(Z[1], X[0]))))), L[1])"
+        " | {}"
+    ),
+    "ground_ok": "L[0] = f(Y[0], Y[1]); Y[0] = a | L[i] -> f(a, L[1]) | {}",
+    "head_clash": "L[0] = g(Y[0], Y[1]) | L[i] -> f(X[0], L[1]) | {}",
+    "late_clash": (
+        "L[0] = f(Y[0], Y[1]); X[1] = g(Y[4]); Y[1] = f(Y[2], a); Y[2] = g(Y[3])"
+        " | L[i] -> f(X[0], L[1])"
+        " | {}"
+    ),
+    "mixed_offsets": (
+        "L[0] = f(Y[0], f(Y[1], Y[2])); Y[0] = X[2]"
+        " | L[i] -> f(X[2], f(Z[0], L[1]))"
+        " | {}"
+    ),
+    "occurs_direct": "Y[0] = f(Y[0], L[0]) | L[i] -> f(X[0], L[1]) | {}",
+    "occurs_late": (
+        "L[0] = f(Y[0], Y[1]); Y[0] = X[2]; Y[1] = f(X[1], Y[0])"
+        " | L[i] -> f(X[0], L[1])"
+        " | {}"
+    ),
+    "occurs_offset_zero": (
+        "X[0] = f(Y[0], Y[1]); Y[0] = X[0]"
+        " | L[i] -> f(X[0], L[0])"
+        " | {}"
+    ),
+    "offset_zero": "L[0] = f(Y[0], Y[1]) | L[i] -> f(X[0], L[0]) | {}",
+    "pair_swap": (
+        "L[0] = f(Y[0], f(Y[1], Y[2])); Y[0] = Z[1]"
+        " | L[i] -> f(X[0], f(Z[1], L[1]))"
+        " | {}"
+    ),
+    "shared_var": (
+        "L[0] = g(Y[0], Y[1]); L[1] = g(Y[2], Y[3]); Y[0] = Y[2]"
+        " | L[i] -> g(X[0], L[1])"
+        " | {}"
+    ),
+    "triple_chain": (
+        "L[0] = h(Y[0], h(Y[1], Y[0])); Y[1] = h(Y[2], h(Y[3], Y[2]))"
+        " | L[i] -> h(h(X[0], h(X[1], X[0])), L[1])"
+        " | {}"
+    ),
+    "two_rules": (
+        "L[0] = f(Y[0], Y[1]); M[1] = g(Y[2], Y[3])"
+        " | L[i] -> f(X[0], M[1]); M[i] -> g(Z[0], L[1])"
+        " | {}"
+    ),
+    "uniform_two": (
+        "L[0] = f(Y[0], f(Y[1], Y[2]))"
+        " | L[i] -> f(X@0[0], f(X@1[0], L[1]))"
+        " | {X[0] -> X@0[0], X[1] -> X@1[0]}"
+    ),
+    "var_only": "Y[0] = Y[1]; Y[1] = Y[2] | L[i] -> f(X[0], L[1]) | {}",
+}
+
+
+def test_make_primitive_output_is_pinned(corpus):
+    got = {"LSR": primitive_text(lsr_problem_eqs(), Schema.of(LSR_RULES))}
+    for path, parsed in corpus:
+        name = os.path.basename(path)[: -len(".prob")]
+        got[name] = primitive_text(parsed.problem.equations, parsed.problem.schema)
+    assert got == PRIMITIVE_PINS
