@@ -11,17 +11,14 @@ member variables and its distinct ``App`` right sides (its sides); a
 worklist, seeded once in ``Equation.key`` order, holds the pairs of terms
 still to equate: ``App = Var`` is oriented, ``App = App`` is decomposed
 (identical argument pairs skipped) or is the clash, ``Var = App`` adds a
-side to the variable's class, and ``Var = Var`` merges.  Of an input pair
-and its flip, only the one first in key order is seeded: the worklist is
-a stack, so when the flip would come, the pair and everything it derived
-are done, and the flip would change no class, add no side and meet no
-new clash.  (The store holds both x = y and y = x, but the next instance
-gets neither: ``solver.unfolded_store`` builds its input from the stored
-classes.)  The saturated set is the closure of the classes: x = y for
-distinct x, y of one class, x = t for every member x and side t of its
-class, and the input's reflexive equations.  That is the least fixpoint of
-the rules, O(|C|^2) equations for a class C.  Three rules keep it exactly
-that set:
+side to the variable's class, and ``Var = Var`` merges.  A flipped input
+pair is harmless: the worklist is a stack, so when the later of the two
+comes, the other and all it derived are done, and it changes no class,
+adds no side and meets no new clash.  The saturated set is the closure of
+the classes: x = y for distinct x, y of one class, x = t for every member
+x and side t of its class, and the input's reflexive equations.  That is
+the least fixpoint of the rules, O(|C|^2) equations for a class C.  Three
+rules keep it exactly that set:
 
 - every pair of sides that meet in a class is decomposed, not each side
   against one representative: ``Y0 = f(g(a), W0)``, ``Y0 = f(Y1, W0)``
@@ -128,9 +125,8 @@ class EngineClass:
             z, p = self.schematic, self.plain
             members = z + p
             out = [Equation(x, t) for x in members for t in self.sides]
-            if len(members) > 1:
-                out += [Equation(x, y) for x in z for y in z if y is not x]
-                out += [Equation(x, y) for x in p for y in members if y is not x]
+            out += [Equation(x, y) for x in z for y in z if y is not x]
+            out += [Equation(x, y) for x in p for y in members if y is not x]
             out += [Equation(x, x) for x in self.loops]
             self._closure = tuple(out)
         return self._closure
@@ -211,12 +207,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
             c = classes[x.var] = EngineClass([x], {})
         return c
 
-    work: list[tuple[Term, Term]] = []
-    seen: set[tuple[Term, Term]] = set()
-    for e in sorted_eqs(eqs):
-        if (e.rhs, e.lhs) not in seen:  # one orientation per input pair
-            seen.add(e)
-            work.append(e)
+    work = sorted_eqs(eqs)  # a stack of term pairs; an Equation is one
     work.reverse()
     while work:
         s, t = work.pop()
@@ -258,8 +249,7 @@ def th_unif(eqs: Iterable[Equation], schema: Schema) -> FinalConfiguration:
         z = c.schematic = tuple([x for x in members if schema.contains(x.var)])
         c.plain = tuple([x for x in members if not schema.contains(x.var)])
         c.sides = tuple(c.sides)
-        if loops:
-            c.loops = tuple([x for x in members if x in loops])
+        c.loops = tuple([x for x in members if x in loops])
         # Condition 1 stores a binding of a schema member, and so puts the
         # plain members in the store too.  Nothing is stored past a clash.
         c.stored = clash is None and (

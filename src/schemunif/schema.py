@@ -8,9 +8,10 @@ instantiation (it stops once a step has nothing left to unfold), the
 variables that unfolding a set of schema variables reaches up to an index
 bound, folding of unfoldings back to schema variables (normalization, a
 rebuild that makes one identity test per rule, as terms are interned), and
-a uniform-to-primitive rewrite of the schema alone, which the solver does
-not use.  It also holds ``SchematicProblem``, an equation set with its
-schema, so that the oracle needs nothing of the solver.
+``make_primitive``, a uniform-to-primitive rewrite of the schema alone in
+one function, which only tests and the benchmark call.  It also holds
+``SchematicProblem``, an equation set with its schema, so that the oracle
+needs nothing of the solver.
 
 A ``Schema`` builds its symbol -> base table and its domain once, when it
 is made, so lookups are dict and set operations; nothing in it changes
@@ -22,7 +23,6 @@ unfolding, so it never searches on from a variable already in it.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Iterable, NamedTuple
 
 from .terms import App, Term, Var, Variable, rebuild, shift, var
@@ -201,28 +201,15 @@ class SchematicProblem(NamedTuple):
 # -- uniform -> primitive rewrite -------------------------------------------
 
 
-class _FreshNames:
-    def __init__(self) -> None:
-        self.taken: set[str] = set()
-
-    def fresh(self, parameter: str, residue: int) -> str:
-        name = f"{parameter}@{residue}"
-        for n in itertools.count():
-            candidate = name if n == 0 else f"{name}_{n}"
-            if candidate not in self.taken:
-                self.taken.add(candidate)
-                return candidate
-        raise AssertionError("unreachable")
-
-
 def make_primitive(
     eqs: frozenset[Equation], schema: Schema
 ) -> tuple[frozenset[Equation], Schema, Substitution]:
     """Rewrite a uniform schema into a primitive one (schema-only).
 
-    Each rule whose self-recursion offset m exceeds 1 is flattened: the
-    recursion offset drops to 1 and every parameter variable Y at offset
-    m*l + k is renamed to a fresh symbol (one per residue class k) at offset
+    Each rule whose self-recursion offset m exceeds 1 is flattened, the
+    largest offset first: the recursion offset drops to 1 and every
+    parameter variable Y at offset m*l + k is renamed to a fresh symbol
+    ``Y@k`` (one per residue class k, suffixed ``_n`` if taken) at offset
     l.  The same renaming is applied across all bases and to the problem
     equations.  Returns (rewritten equations, primitive schema, composed
     renaming restricted to non-domain variables).
@@ -238,22 +225,29 @@ def make_primitive(
     if cls not in (SchemaClass.UNIFORM, SchemaClass.PRIMITIVE):
         raise SchemaError(f"schema is {cls.value}; a uniform schema is required")
 
-    names = _FreshNames()
-    for t in schema.base_set():
-        names.taken |= {v.symbol for v in t.vars}
-
+    taken = {v.symbol for t in schema.base_set() for v in t.vars}  # and given out
     acc = Substitution()
     while True:
-        offenders = sorted(
-            (s for s in schema.domain
-             if (off := schema.recursion_offsets(s)) and max(off) > 1),
-            key=lambda s: (-max(schema.recursion_offsets(s)), s),
-        )
-        if not offenders:
+        offset = {s: max(schema.recursion_offsets(s), default=0) for s in schema.domain}
+        target = min(offset, key=lambda s: (-offset[s], s), default=None)
+        if target is None or offset[target] <= 1:
             break
-        target = offenders[0]
-        m = max(schema.recursion_offsets(target))
-        sigma = _flattening_sub(schema, target, m, names)
+        m = offset[target]
+        base_vars = {v for t in schema.base_set() for v in t.vars}
+        bindings: dict[Variable, Term] = {Variable(target, m): var(target, 1)}
+        for p in sorted({v.symbol for v in schema.base(target).vars} - {target}):
+            fresh: dict[int, str] = {}  # residue -> its symbol
+            for w in sorted(v.index for v in base_vars if v.symbol == p):
+                k = w % m
+                if k not in fresh:
+                    name, n = f"{p}@{k}", 0
+                    while name in taken:
+                        n += 1
+                        name = f"{p}@{k}_{n}"
+                    taken.add(name)
+                    fresh[k] = name
+                bindings[Variable(p, w)] = var(fresh[k], w // m)
+        sigma = Substitution(bindings)
         schema = Schema.of({s: sigma.apply(t) for s, t in schema.rules})
         acc = acc.compose(sigma)
 
@@ -261,24 +255,3 @@ def make_primitive(
         {v: t for v, t in acc.mapping.items() if v.symbol not in schema.domain}
     )
     return renaming.apply_eqs(eqs), schema, renaming
-
-
-def _flattening_sub(
-    schema: Schema, target: str, m: int, names: _FreshNames
-) -> Substitution:
-    bindings: dict[Variable, Term] = {Variable(target, m): var(target, 1)}
-    base_vars = set()
-    for t in schema.base_set():
-        base_vars |= t.vars
-    parameters = sorted(
-        {v.symbol for v in schema.base(target).vars} - {target}
-    )
-    for p in parameters:
-        occurrences = sorted(v.index for v in base_vars if v.symbol == p)
-        fresh_for_residue: dict[int, str] = {}
-        for w in occurrences:
-            k, l = w % m, w // m
-            if k not in fresh_for_residue:
-                fresh_for_residue[k] = names.fresh(p, k)
-            bindings[Variable(p, w)] = var(fresh_for_residue[k], l)
-    return Substitution(bindings)

@@ -166,7 +166,7 @@ def irrelevant_set(
     right_vars: set[Variable] = set()
     for g in groups:
         span = g.spanning()
-        eqs += [e for e in span if e.lhs is not e.rhs] if g.loops else span
+        eqs += [e for e in span if e.lhs is not e.rhs]
         for r in g.sides:
             right_vars |= r.vars
         for x in g.plain:
@@ -234,8 +234,7 @@ def unfolded_store(
             if t in core and isinstance(t, Var):
                 out.append(Equation(t, t))
             core[t] = None
-        if c.loops:
-            out += [Equation(t, t) for t in map(go, c.loops) if isinstance(t, Var)]
+        out += [Equation(t, t) for t in map(go, c.loops) if isinstance(t, Var)]
         leaves = [t for t in map(go, c.sides) if t not in core]
         groups.append((list(core), leaves))
     while groups:
@@ -302,19 +301,9 @@ def normalized_store(
 def simplified_store(
     normalized: frozenset[Equation], eq_sub: Substitution
 ) -> frozenset[Equation]:
-    """A normalized store with eq_sub applied, less its reflexive equations.
-    Every left side is a variable, so only a ``Var = Var`` pair whose sides
-    eq_sub maps to one representative turns reflexive; such pairs, the
-    orbits' among them, are dropped before they are rebuilt."""
-    rep = eq_sub.mapping
-    return eq_sub.apply_eqs(
-        e
-        for e in normalized
-        if not (
-            isinstance(e.rhs, Var)
-            and rep.get(e.lhs.var, e.lhs) is rep.get(e.rhs.var, e.rhs)
-        )
-    )
+    """A normalized store with eq_sub applied, less the equations it makes
+    reflexive: the orbits' x = y and the looped members' x = x."""
+    return frozenset([e for e in eq_sub.apply_eqs(normalized) if e.lhs is not e.rhs])
 
 
 def check_for_map(

@@ -1,13 +1,16 @@
 """No module of the package imports a name it never uses, and no
-module-level private name of the package goes unread.
+module-level name of the package goes unread.
 
 A name counts as used when it is read anywhere in the module, as a plain
 name or as the root of an attribute chain.  An import line marked
 ``# noqa: F401`` is exempt (a name kept for a caller outside the module).
 A private name (``def _f``, ``class _C``, ``_X = ...`` at module level)
 counts as read when some module of the package loads it as a plain name or
-an attribute, outside its own definition.  Importing the command line or
-the solver loads neither ``dataclasses`` nor ``inspect``, for start-up time.
+an attribute, outside its own definition.  A public one counts as read when
+a module of the package, the tests or the benchmark does; importing it is
+not reading it.  So a helper that a deletion orphans is found.  Importing
+the command line or the solver loads neither ``dataclasses`` nor
+``inspect``, for start-up time.
 """
 
 import ast
@@ -21,6 +24,13 @@ from .conftest import HERE, SRC_PATH
 
 PACKAGE = os.path.join(HERE, "..", "src", "schemunif")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+# The modules outside the package that may read its public names.
+READERS = [
+    os.path.join(HERE, "..", d, f)
+    for d in ("tests", "bench")
+    for f in sorted(os.listdir(os.path.join(HERE, "..", d)))
+    if f.endswith(".py")
+]
 
 
 def unused_imports(source):
@@ -67,14 +77,16 @@ def _defined(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def unread_private_names(sources):
-    """The module-level private names of sources (module -> text) that no
-    module reads outside the definition, as (module, name) pairs."""
+def unread_names(sources, readers, wanted):
+    """The module-level names of sources (module -> text) that wanted
+    accepts and that no module of sources or readers reads outside a
+    definition of that name, as (module, name) pairs."""
     defined, read = {}, set()
-    for module, source in sources.items():
+    for module, source in {**readers, **sources}.items():
         for node in ast.parse(source).body:
-            own = [n for n in _defined(node) if n.startswith("_")]
-            defined.update((n, module) for n in own if not n.startswith("__"))
+            own = _defined(node)
+            if module in sources:
+                defined.update((n, module) for n in own if wanted(n))
             read |= {
                 n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(node)
@@ -82,6 +94,24 @@ def unread_private_names(sources):
                 or isinstance(n, ast.Attribute)
             } - set(own)
     return sorted((m, n) for n, m in defined.items() if n not in read)
+
+
+def unread_private_names(sources):
+    return unread_names(
+        sources, {}, lambda n: n.startswith("_") and not n.startswith("__")
+    )
+
+
+def unread_public_names(sources, readers):
+    return unread_names(sources, readers, lambda n: not n.startswith("_"))
+
+
+def package_sources():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    return sources
 
 
 def test_the_check_finds_an_unread_private_name():
@@ -97,11 +127,29 @@ def test_the_check_finds_an_unread_private_name():
 
 
 def test_no_unread_private_names():
-    sources = {}
-    for module in MODULES:
-        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-            sources[module] = fh.read()
-    assert unread_private_names(sources) == []
+    assert unread_private_names(package_sources()) == []
+
+
+def test_the_check_finds_an_unread_public_name():
+    a = (
+        "LIMIT = 3\n"
+        "def used(n):\n    return n < LIMIT\n"
+        "def orphan(n):\n    return n and orphan(n - 1)\n"
+        "def imported():\n    pass\n"
+    )
+    t = "from a import imported, used\n\nassert used(1)\n"
+    assert unread_public_names({"a": a}, {"t": t}) == [
+        ("a", "imported"),
+        ("a", "orphan"),
+    ]
+
+
+def test_no_unread_public_names():
+    readers = {}
+    for path in READERS:
+        with open(path, encoding="utf-8") as fh:
+            readers[path] = fh.read()
+    assert unread_public_names(package_sources(), readers) == []
 
 
 @pytest.mark.parametrize("module", ["schemunif.cli", "schemunif.solver"])

@@ -760,25 +760,38 @@ def assert_agrees_with_oracle(problem):
 
 
 def rewrites(problem):
-    """The problem with every equation flipped, and with each equation's
-    flip added: both have the problem's unifiers."""
+    """The problem with every equation flipped, with each equation's flip
+    added, and with every index shifted by 1 and by 5.  The first two have
+    the problem's unifiers.  Over a uniform schema a shift commutes with
+    the step and renames variables one-to-one, so instance i of a shifted
+    problem is instance i shifted: its first failing instance stays too."""
     flipped = frozenset([e.flip() for e in problem.equations])
-    return [
-        problem._replace(equations=flipped),
-        problem._replace(equations=problem.equations | flipped),
-    ]
+    return {
+        "flipped": problem._replace(equations=flipped),
+        "flips added": problem._replace(equations=problem.equations | flipped),
+        **{
+            f"shift {k}": problem._replace(
+                equations=frozenset(
+                    [eq(shift(k, e.lhs), shift(k, e.rhs)) for e in problem.equations]
+                )
+            )
+            for k in (1, 5)
+        },
+    }
 
 
 def test_rewrites_that_keep_the_unifiers_keep_the_verdict_kind():
-    """Metamorphic checks: a problem, its equations flipped and their flips
-    added get one verdict kind, at cap 40."""
+    """Metamorphic checks: a problem and each of its rewrites get one
+    verdict kind at cap 40, and a shifted problem fails at the same
+    instance."""
     for strategy in (uniform_problems(), multi_rule_problems()):
         for problem in derandomized_examples(strategy, 150):
-            kinds = [
-                verdict_name(u_sch_unif(p, cap=40).outcome)
-                for p in [problem, *rewrites(problem)]
-            ]
-            assert len(set(kinds)) == 1, (problem, kinds)
+            out = u_sch_unif(problem, cap=40).outcome
+            for name, rewritten in rewrites(problem).items():
+                got = u_sch_unif(rewritten, cap=40).outcome
+                assert verdict_name(got) == verdict_name(out), (problem, name)
+                if name.startswith("shift") and isinstance(out, NotUnifiable):
+                    assert got.instance == out.instance, (problem, name)
 
 
 # -- the loop scan -----------------------------------------------------------
@@ -844,6 +857,27 @@ def test_blow_up_1_walks_each_store_once(monkeypatch):
     for rec in run.records:
         assert not any(eqs is rec.store for eqs in walked), rec.i
         assert rec.vars == eq_vars(rec.store), rec.i
+
+
+def far_problem(n):
+    """far-N: X[n] is bound only once unfolding has reached it."""
+    return parse_problem(
+        f"schema: L[i] -> f(X[i], L[i+1]);"
+        f" problem: L[0] = f(Y[0], L[1]); X[{n}] = g(Z[0]);"
+    ).problem
+
+
+@pytest.mark.parametrize("n", [3, 10, 20])
+def test_far_n_gives_up_on_stability_though_unifiable(n):
+    """Evidence on the ratio check: far-N ends at instance N + 3 on the
+    ratio (N + 4)/(N + 3), past stabilization index N, while the oracle
+    finds every instance to N + 15 unifiable.  Each instance gains an X
+    that nothing constrains, and the metric counts it."""
+    run = u_sch_unif(far_problem(n))
+    assert run.outcome == StabilityViolation(n + 3, Fraction(n + 4, n + 3))
+    assert run.stab == n
+    report = bounded_check(far_problem(n), n=n + 15)
+    assert report.checked_up_to == n + 15 and report.ok
 
 
 # -- the instance sequence ---------------------------------------------------
