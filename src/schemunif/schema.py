@@ -225,7 +225,7 @@ def make_primitive(
     if cls not in (SchemaClass.UNIFORM, SchemaClass.PRIMITIVE):
         raise SchemaError(f"schema is {cls.value}; a uniform schema is required")
 
-    taken = {v.symbol for t in schema.base_set() for v in t.vars}  # and given out
+    taken = {v.symbol for t in schema.base_set() for v in t.vars}  # + fresh names
     acc = Substitution()
     while True:
         offset = {s: max(schema.recursion_offsets(s), default=0) for s in schema.domain}

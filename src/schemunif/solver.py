@@ -301,8 +301,8 @@ def normalized_store(
 def simplified_store(
     normalized: frozenset[Equation], eq_sub: Substitution
 ) -> frozenset[Equation]:
-    """A normalized store with eq_sub applied, less the equations it makes
-    reflexive: the orbits' x = y and the looped members' x = x."""
+    """A normalized store with eq_sub applied, less its reflexive equations:
+    the orbits' x = y, which eq_sub collapses, and any x = x."""
     return frozenset([e for e in eq_sub.apply_eqs(normalized) if e.lhs is not e.rhs])
 
 

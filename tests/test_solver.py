@@ -766,18 +766,14 @@ def rewrites(problem):
     the step and renames variables one-to-one, so instance i of a shifted
     problem is instance i shifted: its first failing instance stays too."""
     flipped = frozenset([e.flip() for e in problem.equations])
-    return {
+    out = {
         "flipped": problem._replace(equations=flipped),
         "flips added": problem._replace(equations=problem.equations | flipped),
-        **{
-            f"shift {k}": problem._replace(
-                equations=frozenset(
-                    [eq(shift(k, e.lhs), shift(k, e.rhs)) for e in problem.equations]
-                )
-            )
-            for k in (1, 5)
-        },
     }
+    for k in (1, 5):
+        shifted = [eq(shift(k, s), shift(k, t)) for s, t in problem.equations]
+        out[f"shift {k}"] = problem._replace(equations=frozenset(shifted))
+    return out
 
 
 def test_rewrites_that_keep_the_unifiers_keep_the_verdict_kind():
@@ -873,10 +869,11 @@ def test_far_n_gives_up_on_stability_though_unifiable(n):
     ratio (N + 4)/(N + 3), past stabilization index N, while the oracle
     finds every instance to N + 15 unifiable.  Each instance gains an X
     that nothing constrains, and the metric counts it."""
-    run = u_sch_unif(far_problem(n))
+    problem = far_problem(n)
+    run = u_sch_unif(problem)
     assert run.outcome == StabilityViolation(n + 3, Fraction(n + 4, n + 3))
     assert run.stab == n
-    report = bounded_check(far_problem(n), n=n + 15)
+    report = bounded_check(problem, n=n + 15)
     assert report.checked_up_to == n + 15 and report.ok
 
 
